@@ -9,6 +9,7 @@ from pathlib import Path
 import click
 
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError
+from .estimators import ALGORITHMS
 from .pipeline import (
     ExperimentConfig,
     list_profiles,
@@ -37,7 +38,7 @@ def main():
               help="INI experiment file; CLI flags override its keys.")
 @click.option("--profile", default=None, help="Profile CSV path or bundled profile name.")
 @click.option("--algo", "algorithms", multiple=True,
-              type=click.Choice(["p_iec", "i_ipdft"]), help="Algorithm(s) to run.")
+              type=click.Choice(ALGORITHMS), help="Algorithm(s) to run.")
 @click.option("--delta-tve", type=float, default=None, help="Phasor deviation threshold.")
 @click.option("--delta-fe", type=float, default=None, help="Frequency threshold [Hz].")
 @click.option("--delta-rfe", type=float, default=None, help="ROCOF threshold [Hz/s].")

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateSignalError, InvalidInputError
 from .waveform import GroundTruth, SampleBlock, SQRT2, synth_three_phase
 
+ALGORITHMS = ("p_iec", "i_ipdft")
 ALPHA = cmath.exp(2j * math.pi / 3)
 
 REPORT_ALIGN_TOL = 1e-6  # sample periods; reporting instants sit on the fs grid
@@ -69,12 +70,6 @@ class TripletSeries:
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, i: int) -> MeasurementTriplet:
-        return MeasurementTriplet(
-            float(self.t[i]), complex(self.phasor[i]),
-            float(self.frequency[i]), float(self.rocof[i]),
-        )
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -115,7 +110,7 @@ class EstimatorKind:
     ipdft_iterations: int = 3
 
     def __post_init__(self):
-        if self.algorithm not in ("p_iec", "i_ipdft"):
+        if self.algorithm not in ALGORITHMS:
             raise InvalidInputError(f"unknown estimator algorithm {self.algorithm!r}")
         if self.ipdft_iterations < 0:
             raise InvalidInputError("iteration count must be >= 0")
@@ -205,80 +200,93 @@ def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
     return MeasurementTriplet(t_report, complex(phasor), float(freq), float(rocof))
 
 
-@lru_cache(maxsize=8)
-def _hann_window(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+IPDFT_K0 = 3  # the fundamental sits in bin 3 of a three-cycle window
+SIDE_BINS = np.array([-1.0, 0.0, 1.0])  # bins k0-1, k0, k0+1 relative to k0
+# transform arguments of one image-removal step: -delta for the fundamental,
+# then k + k0 + delta for its negative-frequency image in bins k = k0-1 .. k0+1
+STEP_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
+STEP_OFFSETS = np.concatenate([[0.0], 2 * IPDFT_K0 + SIDE_BINS])
+OFFSET_WEIGHTS = np.array([[1.0, -2.0], [2.0, 0.0], [1.0, 2.0]])
 
 
 @lru_cache(maxsize=8)
-def _bin_kernel(n: int, k0: int) -> np.ndarray:
-    ks = np.arange(k0 - 1, k0 + 2)
-    return np.exp(-2j * math.pi * np.outer(ks, np.arange(n)) / n)
+def _ipdft_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-length constants of the three-bin periodic-Hann spectrum.
+
+    Returns the real ``(n, 6)`` DFT kernel of bins ``k0-1 .. k0+1`` with the
+    Hann window folded in (real and imaginary part of each bin side by side,
+    so the product views as complex), ``n`` times the squared window, the
+    closed-form transform's coefficients ``c_k`` for k = -1, 0, 1, and the
+    limits ``(-1)^k * n`` of its ratios at their removable singularities.
+    """
+    i = np.arange(n)
+    hann = 0.5 - 0.5 * np.cos(2.0 * math.pi * i / n)
+    arg = 2.0 * math.pi * np.outer(i, IPDFT_K0 + SIDE_BINS) / n
+    kernel = np.stack([hann[:, None] * np.cos(arg), -hann[:, None] * np.sin(arg)], axis=-1)
+    edge = cmath.exp(1j * math.pi * (n - 1) / n) / 4.0
+    coeffs = np.array([edge, 0.5, edge.conjugate()])
+    return kernel.reshape(n, 6), n * hann * hann, coeffs, np.array([-n, n, -n], dtype=float)
 
 
-def _dirichlet(lam: float, n: int) -> complex:
-    """Sum of ``exp(-2j*pi*lam*k/n)`` for k = 0..n-1, at continuous ``lam``."""
-    if lam == 0.0:
-        return complex(n)
-    ratio = math.sin(math.pi * lam) / math.sin(math.pi * lam / n)
-    return cmath.exp(-1j * math.pi * lam * (n - 1) / n) * ratio
+def _hann_spectrum(lam: np.ndarray, n: int) -> np.ndarray:
+    """Continuous-frequency transform of the periodic Hann window, in bins.
+
+    Closed form ``exp(-j*pi*lam*(n-1)/n) * sum_k c_k * sin(pi*lam) /
+    sin(pi*(lam+k)/n)`` over k = -1, 0, 1, elementwise over ``lam``.  Where a
+    denominator vanishes (``lam = -k``) the ratio takes its limit
+    ``(-1)^k * n``.
+    """
+    _, _, coeffs, limits = _ipdft_tables(n)
+    den = np.sin((lam[..., None] + SIDE_BINS) * (math.pi / n))
+    singular = den == 0.0
+    # a vanishing denominator is bumped to 1 so the division stays finite;
+    # np.where then takes the limit there instead
+    ratio = np.where(singular, limits, np.sin(math.pi * lam)[..., None] / (den + singular))
+    return np.exp(-1j * math.pi * (n - 1) / n * lam) * (ratio @ coeffs)
 
 
-def _hann_transform(lam: float, n: int) -> complex:
-    """Continuous-frequency transform of the periodic Hann window, in bins."""
-    return 0.5 * _dirichlet(lam, n) - 0.25 * (_dirichlet(lam - 1.0, n) + _dirichlet(lam + 1.0, n))
-
-
-def _hann_delta(bins: np.ndarray) -> float:
-    """Fractional bin offset from three Hann-windowed bin magnitudes."""
-    am, a0, ap = np.abs(bins)
-    denom = am + 2.0 * a0 + ap
-    if denom == 0.0:
+def _hann_offset(bins: np.ndarray) -> np.ndarray:
+    """Fractional bin offsets from Hann-windowed bins ``k0-1, k0, k0+1`` (last axis)."""
+    sums = np.abs(bins) @ OFFSET_WEIGHTS  # |k0-1| + 2|k0| + |k0+1|, 2(|k0+1| - |k0-1|)
+    denom = sums[..., 0]
+    if not denom.all():
         raise DegenerateSignalError("all DFT bins vanish")
-    return 2.0 * (ap - am) / denom
+    return sums[..., 1] / denom
 
 
-def _ipdft_window(block: SampleBlock, ic: int, config: EstimatorConfig,
-                  iterations: int) -> tuple[complex, np.ndarray]:
-    """Phasor and per-phase frequencies from a three-cycle window at ``ic``."""
+def _ipdft_windows(block: SampleBlock, centers: np.ndarray, config: EstimatorConfig,
+                   iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-sequence phasors and per-phase frequencies of three-cycle windows.
+
+    ``centers`` holds the window centres as block sample indices.  Every
+    (phase, window) pair is estimated at once: for B centres the phasors
+    have shape ``(B,)`` and the frequencies ``(3, B)``.
+    """
     n = 3 * config.m
-    half = n // 2
-    k0 = 3
-    i0 = ic - half
-    if i0 < 0 or i0 + n > block.n:
+    starts = centers - n // 2
+    if starts.min() < 0 or starts.max() + n > block.n:
         raise InvalidInputError("sample window too short for the three-cycle spectrum")
 
-    seg = block.samples[:, i0:i0 + n]
-    xw = seg * _hann_window(n)
-    bins_all = xw @ _bin_kernel(n, k0).T  # (3 phases, 3 bins)
-
-    scale = math.sqrt(float(np.sum(xw * xw)) * n)
-    if scale == 0.0 or np.min(np.abs(bins_all[:, 1])) < 1e-12 * scale:
+    kernel, hann_sq, _, _ = _ipdft_tables(n)
+    seg = np.take(block.samples, starts[:, None] + np.arange(n), axis=1)  # (3 phases, B, n)
+    bins = (seg @ kernel).view(complex)  # (3, B, 3 bins)
+    scale = np.sqrt(((seg * seg) @ hann_sq).sum(axis=0))
+    if not (np.abs(bins[..., 1]) > 1e-12 * scale).all():
         raise DegenerateSignalError("fundamental bin below the noise floor")
 
-    t_center = (block.start_index + ic) / config.fs
-    bin_ks = (float(k0 - 1), float(k0), float(k0 + 1))
-    phasors = np.empty(3, dtype=complex)
-    freqs = np.empty(3)
-    for p in range(3):
-        orig = bins_all[p]
-        work = orig
-        delta = _hann_delta(work)
-        for _ in range(iterations):
-            coeff = work[1] / _hann_transform(-delta, n)
-            conj_coeff = coeff.conjugate()
-            work = orig - np.array(
-                [conj_coeff * _hann_transform(k + k0 + delta, n) for k in bin_ks])
-            delta = _hann_delta(work)
-        nu = k0 + delta
-        coeff = work[1] / _hann_transform(-delta, n)
-        freqs[p] = nu * config.fs / n
-        # coeff holds (A/sqrt(2))*exp(j*angle at first window sample)
-        total_angle = cmath.phase(coeff) + math.pi * nu
-        sync_angle = total_angle - 2.0 * math.pi * config.f0 * t_center
-        phasors[p] = abs(coeff) * SQRT2 * cmath.exp(1j * sync_angle)
-
-    return fortescue_positive(phasors[0], phasors[1], phasors[2]), freqs
+    work = bins
+    delta = _hann_offset(work)
+    for _ in range(iterations):
+        spec = _hann_spectrum(delta[..., None] * STEP_SIGNS + STEP_OFFSETS, n)
+        coeff = work[..., 1] / spec[..., 0]
+        work = bins - coeff.conj()[..., None] * spec[..., 1:]
+        delta = _hann_offset(work)
+    # coeff holds (A/sqrt(2))*exp(j*angle at the first window sample)
+    coeff = work[..., 1] / _hann_spectrum(-delta, n)
+    nu = IPDFT_K0 + delta
+    t_center = (block.start_index + centers) / config.fs
+    phasors = SQRT2 * coeff * np.exp(1j * math.pi * (nu - 2.0 * config.f0 * t_center))
+    return fortescue_positive(phasors[0], phasors[1], phasors[2]), nu * (config.fs / n)
 
 
 def ipdft_estimate(block: SampleBlock, config: EstimatorConfig, t_report: float,
@@ -290,12 +298,11 @@ def ipdft_estimate(block: SampleBlock, config: EstimatorConfig, t_report: float,
     estimate feeds the backward ROCOF difference.
     """
     ic = _report_index(block, config.fs, t_report)
-    phasor, freqs = _ipdft_window(block, ic, config, iterations)
-    _, freqs_prev = _ipdft_window(block, ic - config.r, config, iterations)
-    freq = float(np.mean(freqs))
+    phasors, freqs = _ipdft_windows(block, np.array([ic - config.r, ic]), config, iterations)
+    freq_prev, freq = (float(f) for f in freqs.mean(axis=0))
     _check_frequency(freq, config)
-    rocof = (freq - float(np.mean(freqs_prev))) * config.internal_rate
-    return MeasurementTriplet(t_report, phasor, freq, rocof)
+    rocof = (freq - freq_prev) * config.internal_rate
+    return MeasurementTriplet(t_report, complex(phasors[1]), freq, rocof)
 
 
 def run_estimator(

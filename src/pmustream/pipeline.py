@@ -22,6 +22,7 @@ import numpy as np
 from .decimator import DecisionRecord, Thresholds, decimate_stream, reconstruct
 from .errors import ConfigError, InvalidInputError, ProfileError
 from .estimators import (
+    ALGORITHMS,
     EstimatorConfig,
     EstimatorKind,
     MeasurementTriplet,
@@ -30,7 +31,6 @@ from .estimators import (
 from .metrics import TRE_FORMULAS, TrackingReport, throughput_stats, tracking_indices
 from .waveform import AnchorSeries, GroundTruth, eval_reference, synth_three_phase
 
-KNOWN_ALGORITHMS = ("p_iec", "i_ipdft")
 AMPLITUDE_QUANTITY = "amplitude_V"
 FREQUENCY_QUANTITY = "frequency_Hz"
 PROFILE_HEADER = ("quantity", "t_s", "value")
@@ -45,7 +45,7 @@ class ExperimentConfig:
     fs: float = 10_000.0
     rr_in: float = 100.0
     phase0: float = 0.0
-    algorithms: tuple[str, ...] = ("p_iec", "i_ipdft")
+    algorithms: tuple[str, ...] = ALGORITHMS
     thresholds: Thresholds = field(default_factory=Thresholds)
     fixed_baselines: tuple[int, ...] = (2,)
     tre_formula: str = "rms"
@@ -58,7 +58,7 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         for name in self.algorithms:
-            if name not in KNOWN_ALGORITHMS:
+            if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")
         if self.tre_formula not in TRE_FORMULAS:
             raise ConfigError(f"tre_formula must be one of {TRE_FORMULAS}")

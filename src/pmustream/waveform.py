@@ -310,14 +310,6 @@ class SampleBlock:
     def times(self) -> np.ndarray:
         return (self.start_index + np.arange(self.n)) / self.fs
 
-    def window(self, center_index: int, left: int, right: int) -> "SampleBlock":
-        """View of samples ``center_index - left .. center_index + right``."""
-        i0 = center_index - left - self.start_index
-        i1 = center_index + right - self.start_index
-        if i0 < 0 or i1 >= self.n:
-            raise InvalidInputError("requested window exceeds the sample block")
-        return SampleBlock(center_index - left, self.fs, self.samples[:, i0:i1 + 1])
-
 
 def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
     """Synthesize ``n`` balanced three-phase samples starting at ``t0``.

@@ -4,22 +4,33 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmustream.errors import DegenerateSignalError, InvalidInputError
 from pmustream.estimators import (
     EstimatorConfig,
     EstimatorKind,
     MeasurementTriplet,
-    _ipdft_window,
+    _hann_spectrum,
+    _ipdft_windows,
     fortescue_positive,
     ipdft_estimate,
     p_iec_estimate,
     run_estimator,
 )
-from pmustream.waveform import AnchorSeries, GroundTruth, SampleBlock, eval_reference, synth_three_phase
+from pmustream.waveform import (
+    SQRT2,
+    AnchorSeries,
+    GroundTruth,
+    SampleBlock,
+    eval_reference,
+    synth_three_phase,
+)
 
 CFG = EstimatorConfig()
 
@@ -134,7 +145,7 @@ class TestIpdftEstimate:
         gt = steady_gt(freq=49.7)
         block = block_for(gt)
         ic = round(1.0 * CFG.fs)
-        _, freqs = _ipdft_window(block, ic - block.start_index, CFG, iterations=3)
+        _, freqs = _ipdft_windows(block, np.array([ic - block.start_index]), CFG, iterations=3)
         assert np.max(freqs) - np.min(freqs) < 1e-6
         assert np.mean(freqs) == pytest.approx(49.7, abs=1e-3)
 
@@ -149,6 +160,154 @@ class TestIpdftEstimate:
         block = synth_three_phase(gt, 0.0, 500)
         with pytest.raises(InvalidInputError):
             ipdft_estimate(block, CFG, 0.03)
+
+
+# ------------------------------------- array I-IpDFT against the scalar oracle
+#
+# The oracle is the original scalar I-IpDFT: three Dirichlet kernels per Hann
+# transform and one image-removal loop per phase and window.
+
+@lru_cache(maxsize=8)
+def _hann_window(n: int) -> np.ndarray:
+    return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+
+
+@lru_cache(maxsize=8)
+def _bin_kernel(n: int, k0: int) -> np.ndarray:
+    ks = np.arange(k0 - 1, k0 + 2)
+    return np.exp(-2j * math.pi * np.outer(ks, np.arange(n)) / n)
+
+
+def _dirichlet(lam: float, n: int) -> complex:
+    """Sum of ``exp(-2j*pi*lam*k/n)`` for k = 0..n-1, at continuous ``lam``."""
+    if lam == 0.0:
+        return complex(n)
+    ratio = math.sin(math.pi * lam) / math.sin(math.pi * lam / n)
+    return cmath.exp(-1j * math.pi * lam * (n - 1) / n) * ratio
+
+
+def _hann_transform(lam: float, n: int) -> complex:
+    """Continuous-frequency transform of the periodic Hann window, in bins."""
+    return 0.5 * _dirichlet(lam, n) - 0.25 * (_dirichlet(lam - 1.0, n) + _dirichlet(lam + 1.0, n))
+
+
+def _hann_delta(bins: np.ndarray) -> float:
+    """Fractional bin offset from three Hann-windowed bin magnitudes."""
+    am, a0, ap = np.abs(bins)
+    denom = am + 2.0 * a0 + ap
+    if denom == 0.0:
+        raise DegenerateSignalError("all DFT bins vanish")
+    return 2.0 * (ap - am) / denom
+
+
+def _ipdft_window(block: SampleBlock, ic: int, config: EstimatorConfig,
+                  iterations: int) -> tuple[complex, np.ndarray]:
+    """Phasor and per-phase frequencies from a three-cycle window at ``ic``."""
+    n = 3 * config.m
+    half = n // 2
+    k0 = 3
+    i0 = ic - half
+    if i0 < 0 or i0 + n > block.n:
+        raise InvalidInputError("sample window too short for the three-cycle spectrum")
+
+    seg = block.samples[:, i0:i0 + n]
+    xw = seg * _hann_window(n)
+    bins_all = xw @ _bin_kernel(n, k0).T  # (3 phases, 3 bins)
+
+    scale = math.sqrt(float(np.sum(xw * xw)) * n)
+    if scale == 0.0 or np.min(np.abs(bins_all[:, 1])) < 1e-12 * scale:
+        raise DegenerateSignalError("fundamental bin below the noise floor")
+
+    t_center = (block.start_index + ic) / config.fs
+    bin_ks = (float(k0 - 1), float(k0), float(k0 + 1))
+    phasors = np.empty(3, dtype=complex)
+    freqs = np.empty(3)
+    for p in range(3):
+        orig = bins_all[p]
+        work = orig
+        delta = _hann_delta(work)
+        for _ in range(iterations):
+            coeff = work[1] / _hann_transform(-delta, n)
+            conj_coeff = coeff.conjugate()
+            work = orig - np.array(
+                [conj_coeff * _hann_transform(k + k0 + delta, n) for k in bin_ks])
+            delta = _hann_delta(work)
+        nu = k0 + delta
+        coeff = work[1] / _hann_transform(-delta, n)
+        freqs[p] = nu * config.fs / n
+        # coeff holds (A/sqrt(2))*exp(j*angle at first window sample)
+        total_angle = cmath.phase(coeff) + math.pi * nu
+        sync_angle = total_angle - 2.0 * math.pi * config.f0 * t_center
+        phasors[p] = abs(coeff) * SQRT2 * cmath.exp(1j * sync_angle)
+
+    return fortescue_positive(phasors[0], phasors[1], phasors[2]), freqs
+
+
+def scalar_ipdft_estimate(block: SampleBlock, config: EstimatorConfig, t_report: float,
+                          iterations: int) -> MeasurementTriplet:
+    ic = round(t_report * config.fs) - block.start_index
+    phasor, freqs = _ipdft_window(block, ic, config, iterations)
+    _, freqs_prev = _ipdft_window(block, ic - config.r, config, iterations)
+    freq = float(np.mean(freqs))
+    rocof = (freq - float(np.mean(freqs_prev))) * config.internal_rate
+    return MeasurementTriplet(t_report, phasor, freq, rocof)
+
+
+def sinusoid_block(freq: float, amp: float, phase0: float, scales, rocof: float = 0.0) -> SampleBlock:
+    """0.2 s of three-phase samples from t = 0.1 s; phase p scaled by ``scales[p]``."""
+    start = round(0.1 * CFG.fs)
+    t = (start + np.arange(round(0.2 * CFG.fs))) / CFG.fs
+    angle = 2.0 * math.pi * (freq * t + 0.5 * rocof * t * t) + phase0
+    samples = np.array([
+        SQRT2 * amp * s * np.cos(angle - 2.0 * math.pi * p / 3) for p, s in enumerate(scales)
+    ])
+    return SampleBlock(start, CFG.fs, samples)
+
+
+class TestIpdftKernelMatchesScalarOracle:
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -1.0, 0.25, -0.37, 2.0, 5.0 + 1e-9, 6.5, 7.0])
+    def test_closed_form_transform(self, lam):
+        # lam = 0 and lam = -1, 1 are the removable singularities of its terms
+        n = 3 * CFG.m
+        got = _hann_spectrum(np.array([lam]), n)[0]
+        assert abs(got - _hann_transform(lam, n)) <= 1e-12 * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        freq=st.floats(45.0, 55.0),
+        amp=st.floats(1.0, 400.0),
+        phase0=st.floats(-math.pi, math.pi),
+        scales=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+        iterations=st.integers(0, 3),
+        rocof=st.floats(-1.0, 1.0),
+    )
+    @example(freq=50.0, amp=230.0, phase0=0.0, scales=(1.0, 1.0, 1.0), iterations=3, rocof=0.0)
+    @example(freq=50.0, amp=100.0, phase0=1.0, scales=(1.0, 0.7, 1.3), iterations=0, rocof=0.0)
+    def test_estimate_matches_scalar_oracle(self, freq, amp, phase0, scales, iterations, rocof):
+        block = sinusoid_block(freq, amp, phase0, scales, rocof)
+        t_report = 0.2
+        got = ipdft_estimate(block, CFG, t_report, iterations=iterations)
+        ref = scalar_ipdft_estimate(block, CFG, t_report, iterations)
+        assert abs(got.phasor - ref.phasor) <= 1e-12 * abs(ref.phasor)
+        assert abs(got.frequency - ref.frequency) <= 1e-12
+        assert abs(got.rocof - ref.rocof) <= 1e-9
+
+    def test_batch_of_windows_matches_oracle_per_window(self):
+        block = sinusoid_block(49.3, 230.0, 0.4, (1.0, 0.9, 1.1), rocof=0.5)
+        centers = np.array([900, 1000, 1037])
+        phasors, freqs = _ipdft_windows(block, centers, CFG, iterations=3)
+        for b, ic in enumerate(centers):
+            ref_phasor, ref_freqs = _ipdft_window(block, int(ic), CFG, 3)
+            assert abs(phasors[b] - ref_phasor) <= 1e-12 * abs(ref_phasor)
+            assert np.max(np.abs(freqs[:, b] - ref_freqs)) <= 1e-12
+
+    def test_all_zero_window_degenerate_like_oracle(self):
+        block = sinusoid_block(50.0, 0.0, 0.0, (1.0, 1.0, 1.0))
+        message = "fundamental bin below the noise floor"
+        with pytest.raises(DegenerateSignalError, match=message):
+            ipdft_estimate(block, CFG, 0.2)
+        with pytest.raises(DegenerateSignalError, match=message):
+            scalar_ipdft_estimate(block, CFG, 0.2, 3)
 
 
 # ------------------------------------------------------------ run_estimator
@@ -240,7 +399,7 @@ class TestEstimatorInvariants:
         gt = steady_gt(freq=49.9)
         block = block_for(gt)
         ic = round(1.5 * CFG.fs) - block.start_index
-        _, freqs = _ipdft_window(block, ic, CFG, iterations=3)
+        _, freqs = _ipdft_windows(block, np.array([ic]), CFG, iterations=3)
         assert np.max(freqs) - np.min(freqs) < 1e-9
 
     @pytest.mark.parametrize("algorithm", ["p_iec", "i_ipdft"])
