@@ -9,7 +9,6 @@ keep/discard rule, and scores tracking quality and data reduction.
 from .decimator import (
     DecisionRecord,
     Decimator,
-    DecimatorState,
     Thresholds,
     decide,
     decimate_stream,
@@ -53,7 +52,6 @@ from .waveform import (
     GroundTruth,
     PiecewisePoly,
     SampleBlock,
-    differentiate,
     eval_reference,
     integrate_phase,
     pchip_fit,

@@ -45,17 +45,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class DecimatorState:
-    """Last retained triplet; drives every subsequent keep/discard decision."""
-
-    last_kept: MeasurementTriplet
-
-    @property
-    def last_kept_time(self) -> float:
-        return self.last_kept.t
-
-
-@dataclass(frozen=True)
 class DecisionRecord:
     """Outcome of one keep/discard decision.
 
@@ -79,14 +68,14 @@ def predict(last: MeasurementTriplet, dt: float, f0: float) -> tuple[complex, fl
     return phasor, last.frequency + last.rocof * dt, last.rocof
 
 
-def epsilon(state: DecimatorState, incoming: MeasurementTriplet,
+def epsilon(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
             thresholds: Thresholds, f0: float) -> np.ndarray:
     """Normalized deviation vector between prediction and incoming triplet."""
-    dt = incoming.t - state.last_kept_time
+    dt = incoming.t - last_kept.t
     if dt <= 0:
         raise SequencingError("incoming triplet does not advance the stream clock")
-    phasor_p, freq_p, rocof_p = predict(state.last_kept, dt, f0)
-    ref_mag = abs(state.last_kept.phasor)
+    phasor_p, freq_p, rocof_p = predict(last_kept, dt, f0)
+    ref_mag = abs(last_kept.phasor)
     if ref_mag == 0.0:
         e1 = math.inf  # collapsed reference: force a keep as soon as signal returns
     else:
@@ -96,20 +85,20 @@ def epsilon(state: DecimatorState, incoming: MeasurementTriplet,
     return np.array([e1, e2, e3])
 
 
-def decide(state: DecimatorState | None, incoming: MeasurementTriplet,
-           thresholds: Thresholds, f0: float) -> tuple[DecisionRecord, DecimatorState]:
-    """One keep/discard step; returns the record and the resulting state."""
-    if state is None:
-        return (
-            DecisionRecord(incoming.t, True, None, "first"),
-            DecimatorState(incoming),
-        )
-    eps = epsilon(state, incoming, thresholds, f0)
+def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
+           thresholds: Thresholds, f0: float) -> tuple[DecisionRecord, MeasurementTriplet]:
+    """One keep/discard step against the last retained triplet.
+
+    Returns the record and the last retained triplet after this step.
+    """
+    if last_kept is None:
+        return DecisionRecord(incoming.t, True, None, "first"), incoming
+    eps = epsilon(last_kept, incoming, thresholds, f0)
     kept = bool(np.max(eps) > 1.0)  # strictly above threshold
     if kept:
         binding = QUANTITY_NAMES[int(np.argmax(eps))]
-        return DecisionRecord(incoming.t, True, eps, binding), DecimatorState(incoming)
-    return DecisionRecord(incoming.t, False, eps, "none"), state
+        return DecisionRecord(incoming.t, True, eps, binding), incoming
+    return DecisionRecord(incoming.t, False, eps, "none"), last_kept
 
 
 class Decimator:
@@ -118,12 +107,12 @@ class Decimator:
     def __init__(self, thresholds: Thresholds, f0: float):
         self.thresholds = thresholds
         self.f0 = f0
-        self._state: DecimatorState | None = None
+        self._last_kept: MeasurementTriplet | None = None
         self.kept: list[MeasurementTriplet] = []
         self.records: list[DecisionRecord] = []
 
     def process(self, incoming: MeasurementTriplet) -> DecisionRecord:
-        record, self._state = decide(self._state, incoming, self.thresholds, self.f0)
+        record, self._last_kept = decide(self._last_kept, incoming, self.thresholds, self.f0)
         if record.kept:
             self.kept.append(incoming)
         self.records.append(record)

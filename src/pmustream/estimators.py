@@ -167,37 +167,60 @@ def _triangle_gain(df: float, m: int, ts: float) -> float:
     return (math.sin(m * x) / (m * math.sin(x))) ** 2
 
 
+@lru_cache(maxsize=8)
+def _piec_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cycle-length constants of the demodulate-and-filter estimator.
+
+    Returns the real ``(3*(2m+1), 6)`` kernel that maps a flattened
+    three-phase window of ``2m+1`` samples to the positive-sequence outputs
+    of the triangular filter at offsets 0, 1 and 2 (real and imaginary part
+    side by side, so the product views as complex), and the ``m`` roots of
+    unity ``exp(-2j*pi*k/m)``.  The kernel folds in the unit-gain carrier
+    ``sqrt(2)*exp(-2j*pi*k/m)`` relative to the first window sample, the
+    filter weights at each offset and the Fortescue weights ``(1, a, a^2)/3``.
+    """
+    n = 2 * m + 1
+    roots = np.exp(-2j * math.pi * np.arange(m) / m)
+    fir = np.zeros((n, 3))
+    for o in range(3):
+        fir[o:o + 2 * m - 1, o] = _triangle_weights(m)
+    carrier_fir = SQRT2 * roots[np.arange(n) % m, None] * fir  # (n samples, 3 offsets)
+    fortescue = np.array([1.0, ALPHA, ALPHA * ALPHA]) / 3.0
+    kernel = fortescue[:, None, None] * carrier_fir  # (3 phases, n, 3 offsets)
+    kernel = np.stack([kernel.real, kernel.imag], axis=-1).reshape(3 * n, 6)
+    kernel.flags.writeable = roots.flags.writeable = False  # shared by every caller
+    return kernel, roots
+
+
 def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
                    t_report: float) -> MeasurementTriplet:
     """Demodulate-and-filter reference estimator for one reporting instant.
 
     The window holds ``2M+1`` samples centered on the report: ``2M-1`` for the
     triangular filter plus one extra sample on each side for the symmetric
-    frequency/ROCOF difference stencils at step ``Ts``.
+    frequency/ROCOF difference stencils at step ``Ts``.  One matmul with the
+    cached kernel gives the positive-sequence phasor at the three offsets in
+    the frame of the first window sample; since ``fs/f0 = M`` is an integer,
+    the carrier phase of that sample is an exact root of unity.
     """
     m = config.m
     ic = _report_index(block, config.fs, t_report)
     if ic - m < 0 or ic + m >= block.n:
         raise InvalidInputError("sample window too short for the triangular filter")
 
-    idx = np.arange(ic - m, ic + m + 1)
-    t = (block.start_index + idx) / config.fs
-    carrier = SQRT2 * np.exp(-2j * math.pi * config.f0 * t)
-    demod = block.samples[:, ic - m:ic + m + 1] * carrier
+    kernel, roots = _piec_tables(m)
+    window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
+    rotation = roots[(block.start_index + ic - m) % m]
+    p0, p1, p2 = ((window @ kernel).view(complex) * rotation).tolist()
 
-    w = _triangle_weights(m)
-    pos = np.empty(3, dtype=complex)
-    for o in range(3):
-        per_phase = demod[:, o:o + 2 * m - 1] @ w
-        pos[o] = fortescue_positive(per_phase[0], per_phase[1], per_phase[2])
-
-    ang = np.unwrap(np.angle(pos))
+    step01 = cmath.phase(p1 * p0.conjugate())
+    step12 = cmath.phase(p2 * p1.conjugate())
     ts = config.ts
-    freq = config.f0 + (ang[2] - ang[0]) / (4.0 * math.pi * ts)
-    rocof = (ang[2] - 2.0 * ang[1] + ang[0]) / (2.0 * math.pi * ts * ts)
+    freq = config.f0 + (step01 + step12) / (4.0 * math.pi * ts)
+    rocof = (step12 - step01) / (2.0 * math.pi * ts * ts)
     _check_frequency(freq, config)
-    phasor = pos[1] / _triangle_gain(freq - config.f0, m, ts)
-    return MeasurementTriplet(t_report, complex(phasor), float(freq), float(rocof))
+    phasor = p1 / _triangle_gain(freq - config.f0, m, ts)
+    return MeasurementTriplet(t_report, phasor, freq, rocof)
 
 
 IPDFT_K0 = 3  # the fundamental sits in bin 3 of a three-cycle window

@@ -62,12 +62,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {name!r}")
         if self.tre_formula not in TRE_FORMULAS:
             raise ConfigError(f"tre_formula must be one of {TRE_FORMULAS}")
-        m = self.fs / self.f0
-        if abs(m - round(m)) > 1e-9:
-            raise ConfigError("fs must be an integer multiple of f0")
-        r = self.fs / self.rr_in
-        if abs(r - round(r)) > 1e-9:
-            raise ConfigError("rr_in must divide fs evenly")
+        try:
+            self.estimator_config  # EstimatorConfig validates the sampling geometry
+        except InvalidInputError as exc:
+            raise ConfigError(f"invalid f0/fs/rr_in geometry: {exc}") from exc
         for d in self.fixed_baselines:
             if int(d) != d or d < 1:
                 raise ConfigError("fixed baselines must be positive integer divisors")

@@ -100,10 +100,13 @@ class PiecewisePoly:
         t_arr = np.atleast_1d(t_arr)
         idx = self._piece_index(t_arr)
         dt = t_arr - self.breakpoints[idx]
-        co = self.coefficients[idx]
-        out = co[:, 0].copy()
+        # Horner over one gathered coefficient column at a time, so no
+        # (n, degree+1) gather is ever materialized
+        co = self.coefficients
+        out = co[idx, 0]
         for j in range(1, co.shape[1]):
-            out = out * dt + co[:, j]
+            out *= dt
+            out += co[idx, j]
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "PiecewisePoly":
@@ -225,11 +228,6 @@ def integrate_phase(frequency: PiecewisePoly, f0: float, phase0: float = 0.0) ->
     return deviation.antiderivative(initial=phase0)
 
 
-def differentiate(poly: PiecewisePoly) -> PiecewisePoly:
-    """Analytic per-piece derivative (one degree lower)."""
-    return poly.derivative()
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Analytic amplitude/frequency/phase/ROCOF profiles on a common domain.
@@ -273,7 +271,7 @@ class GroundTruth:
             amplitude=amp,
             frequency=freq,
             phase=integrate_phase(freq, f0, phase0),
-            rocof=differentiate(freq),
+            rocof=freq.derivative(),
             f0=float(f0),
             fs=float(fs),
         )
@@ -329,10 +327,14 @@ def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
             f"samples [{t[0]}, {t[-1]}] exceed the ground-truth domain [{lo}, {hi}]"
         )
     amp = gt.amplitude(t)
-    base = 2.0 * math.pi * gt.f0 * t + gt.phase(t)
+    amp *= SQRT2
+    base = gt.phase(t)
+    base += 2.0 * math.pi * gt.f0 * t
     phases = np.empty((3, n))
-    for p in range(3):
-        phases[p] = SQRT2 * amp * np.cos(base - 2.0 * math.pi * p / 3.0)
+    for p, row in enumerate(phases):
+        np.subtract(base, 2.0 * math.pi * p / 3.0, out=row)
+        np.cos(row, out=row)
+        row *= amp
     return SampleBlock(n0, gt.fs, phases)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pmustream.decimator import (
-    DecimatorState,
     Thresholds,
     decide,
     decimate_stream,
@@ -108,14 +107,12 @@ class TestPredict:
 class TestEpsilon:
     def test_exact_prediction_gives_zero(self):
         last = triplet(0.0, 230.0, 50.2, -1.0)
-        state = DecimatorState(last)
         phasor, freq, rocof = predict(last, 0.05, F0)
         incoming = triplet(0.05, phasor, freq, rocof)
-        np.testing.assert_allclose(epsilon(state, incoming, DEFAULTS, F0), 0.0, atol=1e-14)
+        np.testing.assert_allclose(epsilon(last, incoming, DEFAULTS, F0), 0.0, atol=1e-14)
 
     def test_boundary_deviation_not_kept(self):
-        last = triplet(0.0, 230.0, 50.0, 0.0)
-        state = DecimatorState(last)
+        state = triplet(0.0, 230.0, 50.0, 0.0)
         incoming = triplet(0.01, 230.0, 50.0 + DEFAULTS.delta_fe, 0.0)
         eps = epsilon(state, incoming, DEFAULTS, F0)
         np.testing.assert_allclose(eps, [0.0, 1.0, 0.0], atol=1e-12)
@@ -124,7 +121,7 @@ class TestEpsilon:
         assert new_state is state
 
     def test_hand_computed_components(self):
-        state = DecimatorState(triplet(0.0, 230.0, 50.0, 0.0))
+        state = triplet(0.0, 230.0, 50.0, 0.0)
         incoming = triplet(0.01, 229.0, 50.0005, 0.05)
         eps = epsilon(state, incoming, DEFAULTS, F0)
         np.testing.assert_allclose(
@@ -134,7 +131,7 @@ class TestEpsilon:
         )
 
     def test_zero_magnitude_reference_forces_keep(self):
-        state = DecimatorState(triplet(0.0, 0.0, 50.0, 0.0))
+        state = triplet(0.0, 0.0, 50.0, 0.0)
         incoming = triplet(0.01, 230.0, 50.0, 0.0)
         eps = epsilon(state, incoming, DEFAULTS, F0)
         assert eps[0] == math.inf
@@ -142,7 +139,7 @@ class TestEpsilon:
         assert record.kept and record.binding_quantity == "phasor"
 
     def test_non_advancing_time_rejected(self):
-        state = DecimatorState(triplet(1.0, 230.0, 50.0, 0.0))
+        state = triplet(1.0, 230.0, 50.0, 0.0)
         with pytest.raises(SequencingError):
             epsilon(state, triplet(1.0, 230.0, 50.0, 0.0), DEFAULTS, F0)
 
@@ -155,7 +152,7 @@ class TestDecide:
         assert record.kept
         assert record.binding_quantity == "first"
         assert record.epsilon is None
-        assert state.last_kept_time == 0.0
+        assert state.t == 0.0
 
     def test_steady_stream_all_discarded_after_first(self):
         gt = GroundTruth.from_anchors(
@@ -179,7 +176,7 @@ class TestDecide:
         assert online == offline_keep_indices(stream, DEFAULTS, F0)
 
     def test_out_of_order_stream_rejected(self):
-        state = DecimatorState(triplet(1.0, 230.0, 50.0, 0.0))
+        state = triplet(1.0, 230.0, 50.0, 0.0)
         with pytest.raises(SequencingError):
             decide(state, triplet(0.5, 230.0, 50.0, 0.0), DEFAULTS, F0)
 

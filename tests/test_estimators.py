@@ -16,8 +16,13 @@ from pmustream.estimators import (
     EstimatorConfig,
     EstimatorKind,
     MeasurementTriplet,
+    _check_frequency,
     _hann_spectrum,
     _ipdft_windows,
+    _piec_tables,
+    _report_index,
+    _triangle_gain,
+    _triangle_weights,
     fortescue_positive,
     ipdft_estimate,
     p_iec_estimate,
@@ -308,6 +313,97 @@ class TestIpdftKernelMatchesScalarOracle:
             ipdft_estimate(block, CFG, 0.2)
         with pytest.raises(DegenerateSignalError, match=message):
             scalar_ipdft_estimate(block, CFG, 0.2, 3)
+
+
+# ---------------------------------- p_iec kernel against the scalar oracle
+#
+# The oracle is the original per-report p_iec: a complex carrier evaluated at
+# absolute sample times, one FIR matmul and one Fortescue call per offset, and
+# np.unwrap over the three angles.
+
+def _oracle_offsets(block: SampleBlock, config: EstimatorConfig, ic: int) -> np.ndarray:
+    """Positive-sequence filter outputs at offsets 0, 1, 2 of the window at ``ic``."""
+    m = config.m
+    idx = np.arange(ic - m, ic + m + 1)
+    t = (block.start_index + idx) / config.fs
+    carrier = SQRT2 * np.exp(-2j * math.pi * config.f0 * t)
+    demod = block.samples[:, ic - m:ic + m + 1] * carrier
+
+    w = _triangle_weights(m)
+    pos = np.empty(3, dtype=complex)
+    for o in range(3):
+        per_phase = demod[:, o:o + 2 * m - 1] @ w
+        pos[o] = fortescue_positive(per_phase[0], per_phase[1], per_phase[2])
+    return pos
+
+
+def scalar_p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
+                          t_report: float) -> MeasurementTriplet:
+    m = config.m
+    ic = _report_index(block, config.fs, t_report)
+    if ic - m < 0 or ic + m >= block.n:
+        raise InvalidInputError("sample window too short for the triangular filter")
+
+    pos = _oracle_offsets(block, config, ic)
+
+    ang = np.unwrap(np.angle(pos))
+    ts = config.ts
+    freq = config.f0 + (ang[2] - ang[0]) / (4.0 * math.pi * ts)
+    rocof = (ang[2] - 2.0 * ang[1] + ang[0]) / (2.0 * math.pi * ts * ts)
+    _check_frequency(freq, config)
+    phasor = pos[1] / _triangle_gain(freq - config.f0, m, ts)
+    return MeasurementTriplet(t_report, complex(phasor), float(freq), float(rocof))
+
+
+def report_block(n_report: int, freq: float, amp: float, phase0: float, scales,
+                 rocof: float = 0.0) -> SampleBlock:
+    """Two cycles of samples either side of sample ``n_report``; phase p scaled by ``scales[p]``.
+
+    The frequency is ``freq`` at the report and ramps at ``rocof`` Hz/s.
+    """
+    start = n_report - 2 * CFG.m
+    t = (start + np.arange(4 * CFG.m + 1)) / CFG.fs
+    dt = t - n_report / CFG.fs
+    angle = 2.0 * math.pi * (freq * t + 0.5 * rocof * dt * dt) + phase0
+    samples = np.array([
+        SQRT2 * amp * s * np.cos(angle - 2.0 * math.pi * p / 3) for p, s in enumerate(scales)
+    ])
+    return SampleBlock(start, CFG.fs, samples)
+
+
+class TestPiecKernelMatchesScalarOracle:
+    @settings(max_examples=80)
+    @given(
+        freq=st.floats(45.0, 55.0),
+        amp=st.floats(1.0, 400.0),
+        phase0=st.floats(-math.pi, math.pi),
+        scales=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+        rocof=st.floats(-1.0, 1.0),
+        n_report=st.integers(0, 120 * round(CFG.fs)),
+    )
+    @example(freq=50.0, amp=230.0, phase0=0.0, scales=(1.0, 1.0, 1.0), rocof=0.0, n_report=10_000)
+    @example(freq=50.0, amp=100.0, phase0=1.0, scales=(1.0, 0.7, 1.3), rocof=0.0,
+             n_report=1_000_000)
+    @example(freq=49.5, amp=230.0, phase0=-2.0, scales=(1.0, 1.0, 1.0), rocof=1.0,
+             n_report=1_200_000)
+    def test_estimate_matches_scalar_oracle(self, freq, amp, phase0, scales, rocof, n_report):
+        block = report_block(n_report, freq, amp, phase0, scales, rocof)
+        t_report = n_report / CFG.fs
+        got = p_iec_estimate(block, CFG, t_report)
+        ref = scalar_p_iec_estimate(block, CFG, t_report)
+        assert abs(got.phasor - ref.phasor) <= 5e-12 * abs(ref.phasor)
+        assert abs(got.frequency - ref.frequency) <= 5e-11
+        assert abs(got.rocof - ref.rocof) <= 1e-6
+
+    def test_kernel_equals_per_offset_fir_of_oracle(self):
+        m = CFG.m
+        block = report_block(1_003_457, 49.3, 230.0, 0.4, (1.0, 0.9, 1.1), rocof=0.5)
+        ic = 2 * m
+        kernel, roots = _piec_tables(m)
+        window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
+        got = (window @ kernel).view(complex) * roots[(block.start_index + ic - m) % m]
+        ref = _oracle_offsets(block, CFG, ic)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------ run_estimator

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pmustream.waveform import (
     GroundTruth,
     PiecewisePoly,
     SQRT2,
-    differentiate,
     eval_reference,
     integrate_phase,
     pchip_fit,
@@ -132,17 +132,17 @@ class TestIntegratePhase:
 class TestDifferentiate:
     def test_constant_frequency_zero_rocof(self):
         freq = pchip_fit(series((0, 50.0), (5, 50.0)))
-        rocof = differentiate(freq)
+        rocof = freq.derivative()
         assert np.all(rocof(np.linspace(0, 5, 33)) == 0.0)
 
     def test_linear_ramp_constant_rocof(self):
         freq = pchip_fit(series((0, 50.0), (1, 49.5)))
-        rocof = differentiate(freq)
+        rocof = freq.derivative()
         np.testing.assert_allclose(rocof(np.linspace(0, 1, 33)), -0.5, atol=1e-12)
 
     def test_cubic_piece_matches_finite_differences(self):
         freq = pchip_fit(series((0, 50.0), (0.5, 49.8), (1.2, 50.3), (2.0, 50.0)))
-        rocof = differentiate(freq)
+        rocof = freq.derivative()
         h = 1e-5
         mids = np.array([0.25, 0.85, 1.6])
         for t in mids:
@@ -188,6 +188,39 @@ class TestSynthThreePhase:
         gt = steady_gt(span=1.0)
         with pytest.raises(DomainError):
             synth_three_phase(gt, 0.5, 10_000)
+
+
+# ------------------------------------------------------- evaluation memory
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvaluationMemory:
+    # a float64 array of one value per sample holds 8 * N bytes
+    N = 300_000
+
+    def oscillating_gt(self) -> GroundTruth:
+        times = np.linspace(0.0, 40.0, 81)
+        return GroundTruth.from_anchors(
+            AnchorSeries(times, 230.0 + 5.0 * np.sin(times)),
+            AnchorSeries(times, 50.0 + 0.2 * np.cos(times)),
+        )
+
+    def test_phase_evaluation_peak_below_five_sample_arrays(self):
+        gt = self.oscillating_gt()
+        t = np.linspace(0.0, 40.0, self.N)
+        assert traced_peak(lambda: gt.phase(t)) < 5 * 8 * self.N
+
+    def test_synthesis_peak_below_ten_sample_arrays(self):
+        gt = self.oscillating_gt()
+        assert traced_peak(lambda: synth_three_phase(gt, 1.0, self.N)) < 10 * 8 * self.N
 
 
 # ----------------------------------------------------------- eval_reference
