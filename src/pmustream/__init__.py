@@ -40,7 +40,6 @@ from .metrics import (
     TrackingReport,
     fe,
     fixed_rate_baseline,
-    nearest_divisor_rate,
     rfe,
     throughput_stats,
     tracking_indices,

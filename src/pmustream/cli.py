@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError
 from .estimators import ALGORITHMS
+from .metrics import TRE_FORMULAS
 from .pipeline import (
-    ExperimentConfig,
     list_profiles,
     load_config,
     parse_profile,
@@ -44,7 +43,7 @@ def main():
 @click.option("--delta-rfe", type=float, default=None, help="ROCOF threshold [Hz/s].")
 @click.option("--fixed", default=None, help="Comma-separated fixed-rate divisors, e.g. 2,10.")
 @click.option("--out", "output_dir", type=click.Path(), default=None, help="Output directory.")
-@click.option("--tre-formula", type=click.Choice(["rms", "printed"]), default=None)
+@click.option("--tre-formula", type=click.Choice(TRE_FORMULAS), default=None)
 @click.option("--emit-decisions", is_flag=True, default=False,
               help="Write the full per-frame decision log.")
 @click.option("--emit-traces", is_flag=True, default=False,
@@ -59,12 +58,9 @@ def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
         "tre_formula": tre_formula,
         "emit_decisions": emit_decisions or None,
         "emit_traces": emit_traces or None,
-    }
-    thr_overrides = {
-        k: v
-        for k, v in (("delta_tve", delta_tve), ("delta_fe", delta_fe),
-                     ("delta_rfe", delta_rfe))
-        if v is not None
+        "delta_tve": delta_tve,
+        "delta_fe": delta_fe,
+        "delta_rfe": delta_rfe,
     }
     if fixed is not None:
         try:
@@ -73,16 +69,7 @@ def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
         except ValueError:
             _fail(f"--fixed expects comma-separated integers, got {fixed!r}", EXIT_CONFIG)
     try:
-        if config_path is not None:
-            config = load_config(config_path, **overrides, **thr_overrides)
-        else:
-            if profile is None:
-                _fail("give --config and/or --profile", EXIT_CONFIG)
-            config = ExperimentConfig(
-                **{k: v for k, v in overrides.items() if v is not None})
-            if thr_overrides:
-                config = replace(
-                    config, thresholds=replace(config.thresholds, **thr_overrides))
+        config = load_config(config_path, **overrides)
     except (ConfigError, ProfileError, InvalidInputError) as exc:
         _fail(str(exc), EXIT_CONFIG)
 

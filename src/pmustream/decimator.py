@@ -145,26 +145,38 @@ def reconstruct(
     """
     if not kept:
         raise InvalidInputError("need at least one kept triplet")
-    kt = np.array([m.t for m in kept])
-    if np.any(np.diff(kt) <= 0):
+    k = TripletSeries.from_triplets(kept)
+    if np.any(np.diff(k.t) <= 0):
         raise SequencingError("kept triplets must be strictly time-ordered")
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     tol = ts / 2.0
-    if np.any(q < kt[0] - tol):
+    if np.any(q < k.t[0] - tol):
         raise DomainError("query precedes the first kept triplet")
 
-    idx = np.searchsorted(kt, q + tol, side="right") - 1
-    dt = q - kt[idx]
-    kp = np.array([m.phasor for m in kept], dtype=complex)
-    kf = np.array([m.frequency for m in kept])
-    kr = np.array([m.rocof for m in kept])
-
-    angle = 2.0 * math.pi * (kf[idx] - f0) * dt + math.pi * kr[idx] * dt * dt
-    phasor = kp[idx] * np.exp(1j * angle)
-    freq = kf[idx] + kr[idx] * dt
-    rocof = kr[idx].copy()
-
+    idx = np.searchsorted(k.t, q + tol, side="right") - 1
+    dt = q - k.t[idx]
     exact = np.abs(dt) <= tol
-    phasor[exact] = kp[idx[exact]]
-    freq[exact] = kf[idx[exact]]
+    # gather each kept column once and work in place, in predict()'s
+    # operation order; temporaries are dropped as soon as they are spent to
+    # keep the peak near the size of the result
+    kf = k.frequency[idx]
+    rocof = k.rocof[idx]
+    angle = kf - f0
+    angle *= 2.0 * math.pi
+    angle *= dt
+    freq = np.multiply(rocof, math.pi)
+    freq *= dt
+    freq *= dt
+    angle += freq
+    np.multiply(rocof, dt, out=freq)
+    freq += kf
+    del kf, dt
+    phasor = np.multiply(angle, 1j, out=np.empty(q.size, dtype=complex))
+    del angle
+    np.exp(phasor, out=phasor)
+    # complex multiply is not bitwise commutative: keep the kept phasor first
+    np.multiply(k.phasor[idx], phasor, out=phasor)
+
+    phasor[exact] = k.phasor[idx[exact]]
+    freq[exact] = k.frequency[idx[exact]]
     return TripletSeries(t=q, phasor=phasor, frequency=freq, rocof=rocof)

@@ -11,7 +11,6 @@ import numpy as np
 from .decimator import DecisionRecord
 from .errors import InvalidInputError, UndefinedMetricError
 from .estimators import MeasurementTriplet, TripletSeries
-from .waveform import GroundTruth, eval_reference
 
 TRE_FORMULAS = ("rms", "printed")
 
@@ -38,32 +37,39 @@ def rfe(estimate, reference):
 
 
 def _aggregate(dev: np.ndarray, formula: str) -> float:
+    """Aggregate a deviation array; ``dev`` is overwritten."""
     if formula == "rms":
-        return float(np.sqrt(np.mean(dev * dev)))
+        return float(np.sqrt(np.mean(np.multiply(dev, dev, out=dev))))
     if formula == "printed":
         # audit variant: no square inside the sum
-        return float(np.sqrt(np.mean(np.abs(dev))))
+        return float(np.sqrt(np.mean(np.abs(dev, out=dev))))
     raise InvalidInputError(f"unknown tracking formula {formula!r}")
 
 
 def tracking_indices(
     reconstructed: TripletSeries,
-    gt: GroundTruth,
+    reference: TripletSeries,
     formula: str = "rms",
 ) -> tuple[float, float, float]:
     """Tracking-error indices over a dense grid: (percent, mHz, Hz/s).
 
     Each index aggregates the point-wise deviation between the reconstructed
-    stream and the reference profiles over the grid carried by
-    ``reconstructed.t``; the default is a true rms.
+    stream and the reference series, which must carry the same grid in
+    ``t``; the default is a true rms.
     """
-    ref_phasor, ref_freq, ref_rocof = eval_reference(gt, reconstructed.t)
-    ref_mag = np.abs(ref_phasor)
+    if not np.array_equal(reconstructed.t, reference.t):
+        raise InvalidInputError("reconstruction and reference must share one grid")
+    ref_mag = np.abs(reference.phasor)
     if np.any(ref_mag == 0.0):
         raise UndefinedMetricError("tracking index undefined where |reference phasor| = 0")
-    tre_tve = _aggregate(np.abs(reconstructed.phasor - ref_phasor) / ref_mag, formula) * 100.0
-    tre_fe = _aggregate((reconstructed.frequency - ref_freq) * 1e3, formula)
-    tre_rfe = _aggregate(reconstructed.rocof - ref_rocof, formula)
+    dev = np.abs(reconstructed.phasor - reference.phasor)
+    dev /= ref_mag
+    tre_tve = _aggregate(dev, formula) * 100.0
+    np.subtract(reconstructed.frequency, reference.frequency, out=dev)
+    dev *= 1e3
+    tre_fe = _aggregate(dev, formula)
+    np.subtract(reconstructed.rocof, reference.rocof, out=dev)
+    tre_rfe = _aggregate(dev, formula)
     return tre_tve, tre_fe, tre_rfe
 
 
@@ -96,19 +102,6 @@ def fixed_rate_baseline(
     if divisor < 1 or int(divisor) != divisor:
         raise InvalidInputError("divisor must be a positive integer")
     return list(triplets[::divisor])
-
-
-def divisor_rates(rr_in: float) -> list[float]:
-    """Reporting rates that divide ``rr_in`` evenly, descending."""
-    base = round(rr_in)
-    rates = [rr_in / d for d in range(1, base + 1) if base % d == 0]
-    return rates
-
-
-def nearest_divisor_rate(rr_in: float, target_rate: float) -> float:
-    """Divisor rate of ``rr_in`` closest to ``target_rate`` (ties go up)."""
-    rates = divisor_rates(rr_in)
-    return min(rates, key=lambda r: (abs(r - target_rate), -r))
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,22 @@ from .estimators import (
     EstimatorConfig,
     EstimatorKind,
     MeasurementTriplet,
+    TripletSeries,
     run_estimator,
 )
-from .metrics import TRE_FORMULAS, TrackingReport, throughput_stats, tracking_indices
+from .metrics import (
+    TRE_FORMULAS,
+    TrackingReport,
+    fixed_rate_baseline,
+    throughput_stats,
+    tracking_indices,
+)
 from .waveform import AnchorSeries, GroundTruth, eval_reference, synth_three_phase
 
 AMPLITUDE_QUANTITY = "amplitude_V"
 FREQUENCY_QUANTITY = "frequency_Hz"
 PROFILE_HEADER = ("quantity", "t_s", "value")
+TRACE_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,11 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     return amplitude, frequency
 
 
-def _mode_label(config: ExperimentConfig, divisor: int | None) -> str:
-    if divisor is None:
-        return "adaptive"
-    rate = config.rr_in / divisor
-    return f"{rate:g}fps"
+def _modes(config: ExperimentConfig) -> list[tuple[str, int | None]]:
+    """Reporting modes as (label, divisor) in table order: full rate, the fixed
+    divisors ascending, then adaptive (divisor None)."""
+    divisors = [1] + sorted(set(config.fixed_baselines) - {1})
+    return [(f"{config.rr_in / d:g}fps", d) for d in divisors] + [("adaptive", None)]
 
 
 def evaluation_window(config: ExperimentConfig, gt: GroundTruth) -> tuple[int, int, int, int]:
@@ -199,6 +207,7 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
     fs = config.fs
     block = synth_three_phase(gt, (n_first - left) / fs, n_last - n_first + left + right + 1)
     grid = np.arange(n_first, n_last + 1) / fs
+    reference = TripletSeries(grid, *eval_reference(gt, grid))
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,23 +217,12 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
         kind = config.kind(name)
         triplets = run_estimator(kind, block, est, n_first / fs, n_last / fs)
         total = len(triplets)
-
-        kept_sets: list[tuple[str, list[MeasurementTriplet], list[DecisionRecord] | None]] = []
-        full_label = _mode_label(config, 1)
-        kept_sets.append((full_label, list(triplets), None))
-        for d in sorted(set(config.fixed_baselines)):
-            if d == 1:
-                continue
-            kept_sets.append((_mode_label(config, d), list(triplets[::d]), None))
         adaptive_kept, records = decimate_stream(triplets, config.thresholds, config.f0)
-        kept_sets.append(("adaptive", adaptive_kept, records))
 
-        for mode, kept, records_for_mode in kept_sets:
+        for mode, divisor in _modes(config):
+            kept = adaptive_kept if divisor is None else fixed_rate_baseline(triplets, divisor)
             series = reconstruct(kept, grid, config.f0, est.ts)
-            tre_tve, tre_fe, tre_rfe = tracking_indices(series, gt, config.tre_formula)
-            inst_rr: list[tuple[float, float]] = []
-            if records_for_mode is not None:
-                _, inst_rr = throughput_stats(records_for_mode)
+            tre_tve, tre_fe, tre_rfe = tracking_indices(series, reference, config.tre_formula)
             reports[(name, mode)] = TrackingReport(
                 algorithm=name,
                 rr_mode=mode,
@@ -233,10 +231,10 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 tre_rfe=tre_rfe,
                 kept_count=len(kept),
                 total_count=total,
-                instantaneous_rr=inst_rr,
+                instantaneous_rr=throughput_stats(records)[1] if divisor is None else [],
             )
             if config.emit_traces:
-                _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, gt,
+                _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
                              np.array([m.t for m in kept]), est.ts)
 
         _write_kept_jsonl(out_dir / f"kept_{name}_adaptive.jsonl", adaptive_kept, records)
@@ -254,20 +252,13 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
     return reports
 
 
-def _mode_order(config: ExperimentConfig) -> list[str]:
-    modes = [_mode_label(config, 1)]
-    modes += [_mode_label(config, d) for d in sorted(set(config.fixed_baselines)) if d != 1]
-    modes.append("adaptive")
-    return modes
-
-
 def emit_table(reports: Sequence[TrackingReport], config: ExperimentConfig) -> tuple[str, str]:
     """Long-format CSV plus human-readable table, in deterministic order."""
     if not reports:
         raise InvalidInputError("nothing to tabulate")
     by_key = {(r.algorithm, r.rr_mode): r for r in reports}
     algorithms = [a for a in config.algorithms if any(k[0] == a for k in by_key)]
-    modes = [m for m in _mode_order(config) if any(k[1] == m for k in by_key)]
+    modes = [m for m, _ in _modes(config) if any(k[1] == m for k in by_key)]
 
     index_rows = [
         ("TrE_TVE [%]", lambda r: r.tre_tve),
@@ -372,33 +363,39 @@ def _write_instantaneous_rr(path: Path, series: Sequence[tuple[float, float]]) -
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_trace(path: Path, series, gt: GroundTruth,
+def _write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
                  kept_times: np.ndarray, ts: float) -> None:
-    ref_phasor, ref_freq, ref_rocof = eval_reference(gt, series.t)
     idx = np.searchsorted(kept_times, series.t + ts / 2.0, side="right") - 1
     kept_flag = np.zeros(series.t.size, dtype=int)
     valid = idx >= 0
     kept_flag[valid] = np.abs(series.t[valid] - kept_times[idx[valid]]) <= ts / 2.0
-    columns = (series.t, ref_phasor.real, ref_phasor.imag, np.asarray(ref_freq),
-               np.asarray(ref_rocof), series.phasor.real, series.phasor.imag,
-               series.frequency, series.rocof)
+    columns = (series.t, reference.phasor.real, reference.phasor.imag, reference.frequency,
+               reference.rocof, series.phasor.real, series.phasor.imag,
+               series.frequency, series.rocof, kept_flag)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept\n")
-        for i in range(series.t.size):
-            cells = ",".join(repr(float(col[i])) for col in columns)
-            fh.write(f"{cells},{kept_flag[i]}\n")
+        # repr of a Python float is the shortest round-trip text; rows go out in
+        # chunks so the Python objects of a long trace never exist all at once
+        for lo in range(0, series.t.size, TRACE_CHUNK_ROWS):
+            chunk = (c[lo:lo + TRACE_CHUNK_ROWS].tolist() for c in columns)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*chunk))
 
 
-def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Read an INI-style experiment file; keyword overrides win over file keys."""
+def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """Read an INI-style experiment file; keyword overrides win over file keys.
+
+    With ``path`` None no file is read: the overrides and the defaults make the
+    whole config.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file {path} does not exist")
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     exp = parser["experiment"] if parser.has_section("experiment") else {}
     thr = parser["thresholds"] if parser.has_section("thresholds") else {}

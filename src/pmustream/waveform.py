@@ -301,13 +301,6 @@ class SampleBlock:
     def n(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def t0(self) -> float:
-        return self.start_index / self.fs
-
-    def times(self) -> np.ndarray:
-        return (self.start_index + np.arange(self.n)) / self.fs
-
 
 def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
     """Synthesize ``n`` balanced three-phase samples starting at ``t0``.

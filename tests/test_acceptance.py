@@ -19,7 +19,6 @@ import pytest
 
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.estimators import EstimatorConfig, EstimatorKind, MeasurementTriplet, run_estimator
-from pmustream.metrics import nearest_divisor_rate
 from pmustream.pipeline import ExperimentConfig, run_experiment
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
 
@@ -40,6 +39,13 @@ def gt_stream(gt: GroundTruth, t0: float, t1: float, rate=100.0):
         MeasurementTriplet(float(t), *(np.asarray(v).item() for v in eval_reference(gt, float(t))))
         for t in times
     ]
+
+
+def nearest_divisor_rate(rr_in: float, target_rate: float) -> float:
+    """Divisor rate of ``rr_in`` closest to ``target_rate`` (ties go up)."""
+    base = round(rr_in)
+    rates = [rr_in / d for d in range(1, base + 1) if base % d == 0]
+    return min(rates, key=lambda r: (abs(r - target_rate), -r))
 
 
 def random_gt(seed: int) -> GroundTruth:

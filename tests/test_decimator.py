@@ -19,6 +19,7 @@ from pmustream.decimator import (
 from pmustream.errors import DomainError, InvalidInputError, SequencingError
 from pmustream.estimators import MeasurementTriplet
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
+from test_waveform import traced_peak
 
 F0 = 50.0
 DEFAULTS = Thresholds()
@@ -230,6 +231,14 @@ class TestReconstruct:
     def test_query_before_first_kept_rejected(self):
         with pytest.raises(DomainError):
             reconstruct([triplet(1.0, 230.0, 50.0, 0.0)], [0.5], F0, ts=1e-4)
+
+    def test_peak_below_eight_grid_arrays(self):
+        # the result alone holds four float64 arrays of one value per query
+        n = 300_000
+        kept = [triplet(h * 0.01, 230.0 * cmath.exp(0.1j * h), 50.0 + 1e-3 * h, 0.1)
+                for h in range(300)]
+        q = np.arange(n) * 1e-5
+        assert traced_peak(lambda: reconstruct(kept, q, F0, ts=1e-4)) < 8 * 8 * n
 
 
 # ------------------------------------------------------- module invariants

@@ -14,13 +14,13 @@ from pmustream.estimators import MeasurementTriplet, TripletSeries
 from pmustream.metrics import (
     fe,
     fixed_rate_baseline,
-    nearest_divisor_rate,
     rfe,
     throughput_stats,
     tracking_indices,
     tve,
 )
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
+from test_acceptance import nearest_divisor_rate
 
 F0 = 50.0
 
@@ -92,14 +92,14 @@ class TestTrackingIndices:
         gt = steady_gt()
         times = np.arange(0.0, 5.0, 1e-3)
         series = reference_series(gt, times)
-        assert tracking_indices(series, gt) == (0.0, 0.0, 0.0)
+        assert tracking_indices(series, reference_series(gt, series.t)) == (0.0, 0.0, 0.0)
 
     def test_constant_relative_phasor_deviation(self):
         gt = steady_gt()
         times = np.arange(0.0, 5.0, 1e-3)
         series = reference_series(gt, times)
         skewed = TripletSeries(series.t, series.phasor * 1.001, series.frequency, series.rocof)
-        tre_tve, _, _ = tracking_indices(skewed, gt)
+        tre_tve, _, _ = tracking_indices(skewed, reference_series(gt, skewed.t))
         assert tre_tve == pytest.approx(0.1, rel=1e-9)
 
     def test_alternating_fe_matches_brute_force_rms(self):
@@ -109,7 +109,7 @@ class TestTrackingIndices:
         signs = np.where(np.arange(times.size) % 2 == 0, 1.0, -1.0)
         skewed = TripletSeries(series.t, series.phasor, series.frequency + 0.002 * signs,
                                series.rocof)
-        _, tre_fe, _ = tracking_indices(skewed, gt)
+        _, tre_fe, _ = tracking_indices(skewed, reference_series(gt, skewed.t))
         assert tre_fe == pytest.approx(2.0, rel=1e-9)
 
         acc = 0.0
@@ -123,7 +123,8 @@ class TestTrackingIndices:
         times = np.arange(0.0, 1.0, 1e-3)
         series = reference_series(gt, times)
         skewed = TripletSeries(series.t, series.phasor * 1.001, series.frequency, series.rocof)
-        tre_printed, _, _ = tracking_indices(skewed, gt, formula="printed")
+        tre_printed, _, _ = tracking_indices(skewed, reference_series(gt, skewed.t),
+                                            formula="printed")
         dev = np.abs(skewed.phasor - series.phasor) / np.abs(series.phasor)
         assert tre_printed == pytest.approx(100.0 * math.sqrt(float(np.mean(dev))), rel=1e-9)
 
@@ -138,7 +139,7 @@ class TestTrackingIndices:
             series.frequency + rng.normal(scale=1e-3, size=times.size),
             series.rocof + rng.normal(scale=1e-2, size=times.size),
         )
-        offline = tracking_indices(skewed, gt)
+        offline = tracking_indices(skewed, reference_series(gt, skewed.t))
 
         # chunked accumulation of the same sums
         chunks = np.array_split(np.arange(times.size), 7)
@@ -146,7 +147,7 @@ class TestTrackingIndices:
         for chunk in chunks:
             sub = TripletSeries(skewed.t[chunk], skewed.phasor[chunk],
                                 skewed.frequency[chunk], skewed.rocof[chunk])
-            t_tve, t_fe, t_rfe = tracking_indices(sub, gt)
+            t_tve, t_fe, t_rfe = tracking_indices(sub, reference_series(gt, sub.t))
             acc += np.array([t_tve ** 2, t_fe ** 2, t_rfe ** 2]) * chunk.size
         streamed = np.sqrt(acc / times.size)
         np.testing.assert_allclose(streamed, offline, rtol=1e-12)
@@ -163,8 +164,8 @@ class TestTrackingIndices:
         grid = np.arange(0.0, 3.99, 1e-3)
         sparse = reconstruct([stream[0]], grid, F0, ts=1e-3)
         dense = reconstruct([stream[0], stream[200]], grid, F0, ts=1e-3)
-        sparse_scores = tracking_indices(sparse, gt)
-        dense_scores = tracking_indices(dense, gt)
+        sparse_scores = tracking_indices(sparse, reference_series(gt, sparse.t))
+        dense_scores = tracking_indices(dense, reference_series(gt, dense.t))
         assert all(d <= s + 1e-12 for d, s in zip(dense_scores, sparse_scores))
         assert sparse_scores[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -177,9 +178,11 @@ class TestTrackingIndices:
             MeasurementTriplet(float(t), *(np.asarray(v).item() for v in eval_reference(gt2, float(t))))
             for t in times
         ]
-        sparse2 = tracking_indices(reconstruct([stream2[0]], grid, F0, ts=1e-3), gt2)
+        sparse2 = tracking_indices(reconstruct([stream2[0]], grid, F0, ts=1e-3),
+                                   reference_series(gt2, grid))
         dense2 = tracking_indices(
-            reconstruct([stream2[0], stream2[200]], grid, F0, ts=1e-3), gt2)
+            reconstruct([stream2[0], stream2[200]], grid, F0, ts=1e-3),
+            reference_series(gt2, grid))
         assert dense2[0] < sparse2[0]
 
     def test_zero_reference_rejected(self):
@@ -187,7 +190,16 @@ class TestTrackingIndices:
         times = np.arange(0.0, 1.0, 1e-2)
         series = reference_series(gt, times)
         with pytest.raises(UndefinedMetricError):
-            tracking_indices(series, gt)
+            tracking_indices(series, reference_series(gt, series.t))
+
+    def test_grid_mismatch_rejected(self):
+        gt = steady_gt()
+        times = np.arange(0.0, 1.0, 1e-2)
+        series = reference_series(gt, times)
+        with pytest.raises(InvalidInputError):
+            tracking_indices(series, reference_series(gt, times + 1e-3))
+        with pytest.raises(InvalidInputError):
+            tracking_indices(series, reference_series(gt, times[:-1]))
 
 
 # --------------------------------------------------------- throughput_stats

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from pmustream import pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ProfileError
@@ -24,7 +26,8 @@ from pmustream.pipeline import (
     resolve_profile,
     run_experiment,
 )
-from pmustream.waveform import GroundTruth, synth_three_phase
+from pmustream.waveform import GroundTruth, eval_reference, synth_three_phase
+from test_metrics import reference_series
 
 BUNDLED = [
     "abrupt_collapse",
@@ -175,7 +178,7 @@ class TestRunExperiment:
         kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
         grid = np.arange(n_first, n_last + 1) / config.fs
         series = reconstruct(kept, grid, config.f0, est.ts)
-        manual = tracking_indices(series, gt, config.tre_formula)
+        manual = tracking_indices(series, reference_series(gt, series.t), config.tre_formula)
 
         adaptive = reports[("i_ipdft", "adaptive")]
         assert (adaptive.tre_tve, adaptive.tre_fe, adaptive.tre_rfe) == manual
@@ -259,6 +262,60 @@ class TestRunExperiment:
 
         for artifact in out.iterdir():
             assert "np." not in artifact.read_text(), artifact.name
+
+    def test_trace_columns_round_trip(self, tmp_path, monkeypatch):
+        # several chunks, the last one partial
+        monkeypatch.setattr(pipeline, "TRACE_CHUNK_ROWS", 4096)
+        out = tmp_path / "traces"
+        config = ExperimentConfig(
+            profile_path="two_stage_collapse",
+            algorithms=("p_iec",),
+            fixed_baselines=(),
+            output_dir=str(out),
+            emit_traces=True,
+        )
+        reports = run_experiment(config)
+        with (out / "trace_p_iec_adaptive.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "kept"
+        cols = np.array(rows[1:], dtype=float).T
+
+        amp, freq = parse_profile(resolve_profile("two_stage_collapse"))
+        gt = GroundTruth.from_anchors(amp, freq, f0=config.f0, fs=config.fs)
+        est = config.estimator_config
+        n_first, n_last, left, right = evaluation_window(config, gt)
+        block = synth_three_phase(
+            gt, (n_first - left) / config.fs, n_last - n_first + left + right + 1)
+        triplets = run_estimator(config.kind("p_iec"), block, est,
+                                 n_first / config.fs, n_last / config.fs)
+        kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
+        grid = np.arange(n_first, n_last + 1) / config.fs
+        ref_phasor, ref_freq, ref_rocof = eval_reference(gt, grid)
+        series = reconstruct(kept, grid, config.f0, est.ts)
+
+        expected = (grid, ref_phasor.real, ref_phasor.imag, ref_freq, ref_rocof,
+                    series.phasor.real, series.phasor.imag, series.frequency, series.rocof)
+        for name, col, want in zip(rows[0], cols, expected):
+            np.testing.assert_array_equal(col, want, err_msg=name)
+        assert cols[-1].sum() == reports[("p_iec", "adaptive")].kept_count
+
+    def test_reference_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(gt, t):
+            calls.append(np.size(t))
+            return eval_reference(gt, t)
+
+        monkeypatch.setattr(pipeline, "eval_reference", counted)
+        config = ExperimentConfig(
+            profile_path="ramp_amplitude_modulation",
+            fixed_baselines=(10, 20),
+            output_dir=str(tmp_path / "out"),
+            emit_traces=True,
+        )
+        reports = run_experiment(config)
+        assert len(reports) == 2 * 4
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------------- emit_table
