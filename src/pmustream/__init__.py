@@ -39,9 +39,8 @@ from .estimators import (
 from .metrics import (
     TrackingReport,
     fe,
-    fixed_rate_baseline,
+    instantaneous_rr,
     rfe,
-    throughput_stats,
     tracking_indices,
     tve,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -108,13 +108,10 @@ class Decimator:
         self.thresholds = thresholds
         self.f0 = f0
         self._last_kept: MeasurementTriplet | None = None
-        self.kept: list[MeasurementTriplet] = []
         self.records: list[DecisionRecord] = []
 
     def process(self, incoming: MeasurementTriplet) -> DecisionRecord:
         record, self._last_kept = decide(self._last_kept, incoming, self.thresholds, self.f0)
-        if record.kept:
-            self.kept.append(incoming)
         self.records.append(record)
         return record
 
@@ -123,44 +120,52 @@ def decimate_stream(
     triplets: Iterable[MeasurementTriplet],
     thresholds: Thresholds,
     f0: float,
-) -> tuple[list[MeasurementTriplet], list[DecisionRecord]]:
-    """Run the keep/discard rule over a whole stream in arrival order."""
+) -> tuple[np.ndarray, list[DecisionRecord]]:
+    """Run the keep/discard rule over a whole stream in arrival order.
+
+    Returns the sorted indices of the kept triplets and one record per triplet.
+    """
     dec = Decimator(thresholds, f0)
     for m in triplets:
         dec.process(m)
-    return dec.kept, dec.records
+    return np.flatnonzero([r.kept for r in dec.records]), dec.records
 
 
 def reconstruct(
-    kept: Sequence[MeasurementTriplet],
+    series: TripletSeries,
+    kept,
     query_times,
     f0: float,
     ts: float,
 ) -> TripletSeries:
-    """Receiver-side view: kept triplets verbatim, predictions in between.
+    """Receiver-side view: kept rows of ``series`` verbatim, predictions in between.
 
-    A query within ``ts/2`` of a kept timestamp returns that triplet; any
-    other query is served by predicting from the most recent kept triplet at
-    or before it.
+    ``kept`` indexes the rows of ``series`` that reached the receiver.  A
+    query within ``ts/2`` of a kept timestamp returns that row; any other
+    query is served by predicting from the most recent kept row at or before
+    it.
     """
-    if not kept:
+    kept = np.asarray(kept, dtype=np.intp)
+    if kept.size == 0:
         raise InvalidInputError("need at least one kept triplet")
-    k = TripletSeries.from_triplets(kept)
-    if np.any(np.diff(k.t) <= 0):
+    kt = series.t[kept]
+    if np.any(np.diff(kt) <= 0):
         raise SequencingError("kept triplets must be strictly time-ordered")
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     tol = ts / 2.0
-    if np.any(q < k.t[0] - tol):
+    if np.any(q < kt[0] - tol):
         raise DomainError("query precedes the first kept triplet")
 
-    idx = np.searchsorted(k.t, q + tol, side="right") - 1
-    dt = q - k.t[idx]
+    idx = np.searchsorted(kt, q + tol, side="right") - 1
+    dt = q - kt[idx]
     exact = np.abs(dt) <= tol
+    rows = kept[idx]
+    del idx
     # gather each kept column once and work in place, in predict()'s
     # operation order; temporaries are dropped as soon as they are spent to
     # keep the peak near the size of the result
-    kf = k.frequency[idx]
-    rocof = k.rocof[idx]
+    kf = series.frequency[rows]
+    rocof = series.rocof[rows]
     angle = kf - f0
     angle *= 2.0 * math.pi
     angle *= dt
@@ -175,8 +180,8 @@ def reconstruct(
     del angle
     np.exp(phasor, out=phasor)
     # complex multiply is not bitwise commutative: keep the kept phasor first
-    np.multiply(k.phasor[idx], phasor, out=phasor)
+    np.multiply(series.phasor[rows], phasor, out=phasor)
 
-    phasor[exact] = k.phasor[idx[exact]]
-    freq[exact] = k.frequency[idx[exact]]
+    phasor[exact] = series.phasor[rows[exact]]
+    freq[exact] = series.frequency[rows[exact]]
     return TripletSeries(t=q, phasor=phasor, frequency=freq, rocof=rocof)

@@ -26,12 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSignalError, InvalidInputError
-from .waveform import GroundTruth, SampleBlock, SQRT2, synth_three_phase
+from .waveform import GRID_ALIGN_TOL, GroundTruth, SampleBlock, SQRT2, synth_three_phase
 
 ALGORITHMS = ("p_iec", "i_ipdft")
 ALPHA = cmath.exp(2j * math.pi / 3)
-
-REPORT_ALIGN_TOL = 1e-6  # sample periods; reporting instants sit on the fs grid
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def _check_frequency(freq: float, config: EstimatorConfig) -> None:
 def _report_index(block: SampleBlock, fs: float, t_report: float) -> int:
     pos = t_report * fs
     n = round(pos)
-    if abs(pos - n) > REPORT_ALIGN_TOL:
+    if abs(pos - n) > GRID_ALIGN_TOL:
         raise InvalidInputError(f"reporting instant {t_report} is not on the sampling grid")
     return n - block.start_index
 
@@ -344,7 +342,7 @@ def run_estimator(
     fs = config.fs
     n_start = round(t_start * fs)
     n_end = round(t_end * fs)
-    if abs(t_start * fs - n_start) > REPORT_ALIGN_TOL or abs(t_end * fs - n_end) > REPORT_ALIGN_TOL:
+    if abs(t_start * fs - n_start) > GRID_ALIGN_TOL or abs(t_end * fs - n_end) > GRID_ALIGN_TOL:
         raise InvalidInputError("t_start and t_end must lie on the sampling grid")
     if n_end < n_start:
         raise InvalidInputError("t_end must not precede t_start")

@@ -1,16 +1,14 @@
-"""Point-wise error metrics, tracking-error indices and throughput stats."""
+"""Point-wise error metrics, tracking-error indices and the reporting rate."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .decimator import DecisionRecord
 from .errors import InvalidInputError, UndefinedMetricError
-from .estimators import MeasurementTriplet, TripletSeries
+from .estimators import TripletSeries
 
 TRE_FORMULAS = ("rms", "printed")
 
@@ -73,35 +71,13 @@ def tracking_indices(
     return tre_tve, tre_fe, tre_rfe
 
 
-def throughput_stats(
-    decisions: Sequence[DecisionRecord],
-) -> tuple[float, list[tuple[float, float]]]:
-    """Compression ratio and instantaneous reporting-rate series.
-
-    The instantaneous rate at each kept instant (after the first) is the
-    reciprocal of the gap to the previous kept instant.
-    """
-    if not decisions:
-        raise InvalidInputError("need at least one decision record")
-    kept_times = [d.t for d in decisions if d.kept]
-    if not kept_times:
-        raise InvalidInputError("no kept measurement in the decision sequence")
-    ratio = len(decisions) / len(kept_times)
-    inst = [
-        (kept_times[i], 1.0 / (kept_times[i] - kept_times[i - 1]))
-        for i in range(1, len(kept_times))
-    ]
-    return ratio, inst
-
-
-def fixed_rate_baseline(
-    triplets: Sequence[MeasurementTriplet],
-    divisor: int,
-) -> list[MeasurementTriplet]:
-    """Every ``divisor``-th triplet starting from the first."""
-    if divisor < 1 or int(divisor) != divisor:
-        raise InvalidInputError("divisor must be a positive integer")
-    return list(triplets[::divisor])
+def instantaneous_rr(kept_times) -> list[tuple[float, float]]:
+    """Instantaneous reporting rate at each kept instant after the first: the
+    reciprocal of the gap to the previous kept instant."""
+    t = np.asarray(kept_times, dtype=float)
+    if t.size == 0:
+        raise InvalidInputError("need at least one kept instant")
+    return list(zip(t[1:].tolist(), (1.0 / np.diff(t)).tolist()))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -29,13 +30,7 @@ from .estimators import (
     TripletSeries,
     run_estimator,
 )
-from .metrics import (
-    TRE_FORMULAS,
-    TrackingReport,
-    fixed_rate_baseline,
-    throughput_stats,
-    tracking_indices,
-)
+from .metrics import TRE_FORMULAS, TrackingReport, instantaneous_rr, tracking_indices
 from .waveform import AnchorSeries, GroundTruth, eval_reference, synth_three_phase
 
 AMPLITUDE_QUANTITY = "amplitude_V"
@@ -74,9 +69,10 @@ class ExperimentConfig:
             self.estimator_config  # EstimatorConfig validates the sampling geometry
         except InvalidInputError as exc:
             raise ConfigError(f"invalid f0/fs/rr_in geometry: {exc}") from exc
-        for d in self.fixed_baselines:
-            if int(d) != d or d < 1:
-                raise ConfigError("fixed baselines must be positive integer divisors")
+        if not all(isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1
+                   for d in self.fixed_baselines):
+            raise ConfigError("fixed baselines must be positive integer divisors")
+        object.__setattr__(self, "fixed_baselines", tuple(int(d) for d in self.fixed_baselines))
 
     @property
     def estimator_config(self) -> EstimatorConfig:
@@ -216,12 +212,13 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
     for name in config.algorithms:
         kind = config.kind(name)
         triplets = run_estimator(kind, block, est, n_first / fs, n_last / fs)
-        total = len(triplets)
+        stream = TripletSeries.from_triplets(triplets)
+        total = len(stream)
         adaptive_kept, records = decimate_stream(triplets, config.thresholds, config.f0)
 
         for mode, divisor in _modes(config):
-            kept = adaptive_kept if divisor is None else fixed_rate_baseline(triplets, divisor)
-            series = reconstruct(kept, grid, config.f0, est.ts)
+            kept = adaptive_kept if divisor is None else np.arange(0, total, divisor)
+            series = reconstruct(stream, kept, grid, config.f0, est.ts)
             tre_tve, tre_fe, tre_rfe = tracking_indices(series, reference, config.tre_formula)
             reports[(name, mode)] = TrackingReport(
                 algorithm=name,
@@ -229,15 +226,16 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 tre_tve=tre_tve,
                 tre_fe=tre_fe,
                 tre_rfe=tre_rfe,
-                kept_count=len(kept),
+                kept_count=kept.size,
                 total_count=total,
-                instantaneous_rr=throughput_stats(records)[1] if divisor is None else [],
+                instantaneous_rr=instantaneous_rr(stream.t[kept]) if divisor is None else [],
             )
             if config.emit_traces:
                 _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
-                             np.array([m.t for m in kept]), est.ts)
+                             kept * est.r)  # report k sits on grid row k*r
 
-        _write_kept_jsonl(out_dir / f"kept_{name}_adaptive.jsonl", adaptive_kept, records)
+        _write_kept_jsonl(out_dir / f"kept_{name}_adaptive.jsonl", triplets, records,
+                          adaptive_kept)
         _write_instantaneous_rr(
             out_dir / f"instantaneous_rr_{name}_adaptive.csv",
             reports[(name, "adaptive")].instantaneous_rr,
@@ -339,10 +337,10 @@ def _kept_payload(m: MeasurementTriplet, binding: str) -> dict:
     }
 
 
-def _write_kept_jsonl(path: Path, kept: Sequence[MeasurementTriplet],
-                      records: Sequence[DecisionRecord]) -> None:
-    bindings = {rec.t: rec.binding_quantity for rec in records if rec.kept}
-    lines = [json.dumps(_kept_payload(m, bindings[m.t]), allow_nan=False) for m in kept]
+def _write_kept_jsonl(path: Path, triplets: Sequence[MeasurementTriplet],
+                      records: Sequence[DecisionRecord], kept: np.ndarray) -> None:
+    lines = [json.dumps(_kept_payload(triplets[i], records[i].binding_quantity),
+                        allow_nan=False) for i in kept]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -364,11 +362,9 @@ def _write_instantaneous_rr(path: Path, series: Sequence[tuple[float, float]]) -
 
 
 def _write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
-                 kept_times: np.ndarray, ts: float) -> None:
-    idx = np.searchsorted(kept_times, series.t + ts / 2.0, side="right") - 1
+                 kept_rows: np.ndarray) -> None:
     kept_flag = np.zeros(series.t.size, dtype=int)
-    valid = idx >= 0
-    kept_flag[valid] = np.abs(series.t[valid] - kept_times[idx[valid]]) <= ts / 2.0
+    kept_flag[kept_rows] = 1
     columns = (series.t, reference.phasor.real, reference.phasor.imag, reference.frequency,
                reference.rocof, series.phasor.real, series.phasor.imag,
                series.frequency, series.rocof, kept_flag)

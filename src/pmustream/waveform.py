@@ -20,8 +20,8 @@ from .errors import DomainError, InvalidInputError
 
 SQRT2 = math.sqrt(2.0)
 
-# Sample instants live on an integer grid at rate fs; a requested start time
-# may deviate from the grid by at most this many sample periods.
+# Sample instants live on an integer grid at rate fs; a requested start or
+# reporting time may deviate from it by at most this many sample periods.
 GRID_ALIGN_TOL = 1e-6
 
 

@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
-from pmustream.estimators import EstimatorConfig, EstimatorKind, MeasurementTriplet, run_estimator
+from pmustream.estimators import (
+    EstimatorConfig,
+    EstimatorKind,
+    MeasurementTriplet,
+    TripletSeries,
+    run_estimator,
+)
 from pmustream.pipeline import ExperimentConfig, run_experiment
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
 
@@ -137,10 +143,11 @@ def test_criterion_4_prediction_oracle_equivalence():
     )
     t0, t1 = 0.0, 10.0
     stream = gt_stream(gt, t0, t1)
-    kept, _ = decimate_stream(stream, Thresholds(), F0)
+    kept_idx, _ = decimate_stream(stream, Thresholds(), F0)
     ts = 1.0 / CONFIG.fs
     grid = stream[0].t + np.arange(round((t1 - t0) * CONFIG.fs)) * ts
-    series = reconstruct(kept, grid, F0, ts)
+    series = reconstruct(TripletSeries.from_triplets(stream), kept_idx, grid, F0, ts)
+    kept = [stream[i] for i in kept_idx]
 
     kt = [m.t for m in kept]
     worst = 0.0

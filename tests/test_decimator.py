@@ -17,7 +17,7 @@ from pmustream.decimator import (
     reconstruct,
 )
 from pmustream.errors import DomainError, InvalidInputError, SequencingError
-from pmustream.estimators import MeasurementTriplet
+from pmustream.estimators import MeasurementTriplet, TripletSeries
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
 from test_waveform import traced_peak
 
@@ -175,6 +175,7 @@ class TestDecide:
         kept, records = decimate_stream(stream, DEFAULTS, F0)
         online = [i for i, r in enumerate(records) if r.kept]
         assert online == offline_keep_indices(stream, DEFAULTS, F0)
+        assert kept.tolist() == online
 
     def test_out_of_order_stream_rejected(self):
         state = triplet(1.0, 230.0, 50.0, 0.0)
@@ -190,7 +191,7 @@ class TestReconstruct:
             triplet(0.0, 230.0, 50.1, -0.2),
             triplet(0.05, 229.0 * cmath.exp(0.1j), 50.05, 0.1),
         ]
-        out = reconstruct(kept, [0.05], F0, ts=1e-4)
+        out = reconstruct(TripletSeries.from_triplets(kept), [0, 1], [0.05], F0, ts=1e-4)
         assert out.phasor[0] == kept[1].phasor
         assert out.frequency[0] == kept[1].frequency
         assert out.rocof[0] == kept[1].rocof
@@ -198,7 +199,7 @@ class TestReconstruct:
     def test_single_kept_hold_and_quadratic_angle(self):
         m = triplet(0.0, 230.0 * cmath.exp(0.3j), 50.2, -1.0)
         q = np.arange(0.0, 1.0 + 1e-12, 0.01)
-        out = reconstruct([m], q, F0, ts=0.01)
+        out = reconstruct(TripletSeries.from_triplets([m]), [0], q, F0, ts=0.01)
         np.testing.assert_allclose(np.abs(out.phasor), 230.0, rtol=1e-14)
         angles = np.unwrap(np.angle(out.phasor))
         expected = 0.3 + 2 * math.pi * 0.2 * q + math.pi * (-1.0) * q ** 2
@@ -210,10 +211,11 @@ class TestReconstruct:
         gt = random_gt(123)
         lo, hi = gt.domain
         stream = stream_from_gt(gt, math.ceil(lo * 100) / 100, math.floor(hi * 100) / 100)
-        kept, _ = decimate_stream(stream, DEFAULTS, F0)
+        kept_idx, _ = decimate_stream(stream, DEFAULTS, F0)
         ts = 1e-3
         q = np.arange(stream[0].t, stream[-1].t, ts)
-        out = reconstruct(kept, q, F0, ts=ts)
+        out = reconstruct(TripletSeries.from_triplets(stream), kept_idx, q, F0, ts=ts)
+        kept = [stream[i] for i in kept_idx]
         kt = [m.t for m in kept]
         for i, t in enumerate(q):
             j = np.searchsorted(kt, t + ts / 2, side="right") - 1
@@ -230,15 +232,26 @@ class TestReconstruct:
 
     def test_query_before_first_kept_rejected(self):
         with pytest.raises(DomainError):
-            reconstruct([triplet(1.0, 230.0, 50.0, 0.0)], [0.5], F0, ts=1e-4)
+            reconstruct(TripletSeries.from_triplets([triplet(1.0, 230.0, 50.0, 0.0)]), [0],
+                        [0.5], F0, ts=1e-4)
+
+    def test_unordered_or_empty_kept_rejected(self):
+        series = TripletSeries.from_triplets([triplet(h * 0.01, 230.0, 50.0, 0.0)
+                                              for h in range(3)])
+        with pytest.raises(SequencingError):
+            reconstruct(series, [2, 1], [0.05], F0, ts=1e-4)
+        with pytest.raises(InvalidInputError):
+            reconstruct(series, [], [0.05], F0, ts=1e-4)
 
     def test_peak_below_eight_grid_arrays(self):
         # the result alone holds four float64 arrays of one value per query
         n = 300_000
-        kept = [triplet(h * 0.01, 230.0 * cmath.exp(0.1j * h), 50.0 + 1e-3 * h, 0.1)
-                for h in range(300)]
+        kept = TripletSeries.from_triplets([
+            triplet(h * 0.01, 230.0 * cmath.exp(0.1j * h), 50.0 + 1e-3 * h, 0.1)
+            for h in range(300)])
+        idx = np.arange(300)
         q = np.arange(n) * 1e-5
-        assert traced_peak(lambda: reconstruct(kept, q, F0, ts=1e-4)) < 8 * 8 * n
+        assert traced_peak(lambda: reconstruct(kept, idx, q, F0, ts=1e-4)) < 8 * 8 * n
 
 
 # ------------------------------------------------------- module invariants
@@ -284,8 +297,9 @@ class TestDecimatorInvariants:
         lo, hi = gt.domain
         stream = stream_from_gt(gt, math.ceil(lo * 100) / 100, math.floor(hi * 100) / 100)
         kept, _ = decimate_stream(stream, DEFAULTS, F0)
-        out = reconstruct(kept, [m.t for m in kept], F0, ts=1e-4)
-        for i, m in enumerate(kept):
+        series = TripletSeries.from_triplets(stream)
+        out = reconstruct(series, kept, series.t[kept], F0, ts=1e-4)
+        for i, m in enumerate(stream[j] for j in kept):
             assert out.phasor[i] == m.phasor
             assert out.frequency[i] == m.frequency
             assert out.rocof[i] == m.rocof

@@ -1,4 +1,4 @@
-"""Tests for error metrics, tracking indices and throughput statistics."""
+"""Tests for error metrics, tracking indices and the instantaneous reporting rate."""
 
 from __future__ import annotations
 
@@ -8,17 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from pmustream.decimator import DecisionRecord, reconstruct
+from pmustream.decimator import reconstruct
 from pmustream.errors import InvalidInputError, UndefinedMetricError
 from pmustream.estimators import MeasurementTriplet, TripletSeries
-from pmustream.metrics import (
-    fe,
-    fixed_rate_baseline,
-    rfe,
-    throughput_stats,
-    tracking_indices,
-    tve,
-)
+from pmustream.metrics import fe, instantaneous_rr, rfe, tracking_indices, tve
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
 from test_acceptance import nearest_divisor_rate
 
@@ -35,10 +28,6 @@ def steady_gt(amp=230.0, freq=50.0, span=10.0) -> GroundTruth:
 def reference_series(gt: GroundTruth, times: np.ndarray) -> TripletSeries:
     phasor, freq, rocof = eval_reference(gt, times)
     return TripletSeries(t=times, phasor=phasor, frequency=freq, rocof=rocof)
-
-
-def record(t, kept) -> DecisionRecord:
-    return DecisionRecord(t, kept, None if not kept else np.full(3, 2.0), "phasor" if kept else "none")
 
 
 # --------------------------------------------------------------- tve/fe/rfe
@@ -162,8 +151,9 @@ class TestTrackingIndices:
             for t in times
         ]
         grid = np.arange(0.0, 3.99, 1e-3)
-        sparse = reconstruct([stream[0]], grid, F0, ts=1e-3)
-        dense = reconstruct([stream[0], stream[200]], grid, F0, ts=1e-3)
+        series = TripletSeries.from_triplets(stream)
+        sparse = reconstruct(series, [0], grid, F0, ts=1e-3)
+        dense = reconstruct(series, [0, 200], grid, F0, ts=1e-3)
         sparse_scores = tracking_indices(sparse, reference_series(gt, sparse.t))
         dense_scores = tracking_indices(dense, reference_series(gt, dense.t))
         assert all(d <= s + 1e-12 for d, s in zip(dense_scores, sparse_scores))
@@ -178,10 +168,11 @@ class TestTrackingIndices:
             MeasurementTriplet(float(t), *(np.asarray(v).item() for v in eval_reference(gt2, float(t))))
             for t in times
         ]
-        sparse2 = tracking_indices(reconstruct([stream2[0]], grid, F0, ts=1e-3),
+        series2 = TripletSeries.from_triplets(stream2)
+        sparse2 = tracking_indices(reconstruct(series2, [0], grid, F0, ts=1e-3),
                                    reference_series(gt2, grid))
         dense2 = tracking_indices(
-            reconstruct([stream2[0], stream2[200]], grid, F0, ts=1e-3),
+            reconstruct(series2, [0, 200], grid, F0, ts=1e-3),
             reference_series(gt2, grid))
         assert dense2[0] < sparse2[0]
 
@@ -202,70 +193,32 @@ class TestTrackingIndices:
             tracking_indices(series, reference_series(gt, times[:-1]))
 
 
-# --------------------------------------------------------- throughput_stats
+# --------------------------------------------------------- instantaneous_rr
 
 class TestThroughputStats:
     def test_all_kept(self):
-        decisions = [record(h * 0.01, True) for h in range(100)]
-        ratio, inst = throughput_stats(decisions)
-        assert ratio == 1.0
+        inst = instantaneous_rr([h * 0.01 for h in range(100)])
         assert len(inst) == 99
         assert all(rr == pytest.approx(100.0, rel=1e-9) for _, rr in inst)
 
     def test_single_keep(self):
-        decisions = [record(h * 0.01, h == 0) for h in range(1000)]
-        ratio, inst = throughput_stats(decisions)
-        assert ratio == 1000.0
-        assert inst == []
+        assert instantaneous_rr([0.0]) == []
 
     def test_reciprocal_intervals(self):
-        decisions = [record(0.0, True)]
-        decisions += [record(0.01, True)]
-        decisions += [record(0.01 + 0.01 * k, False) for k in range(1, 20)]
-        decisions += [record(0.21, True)]
-        ratio, inst = throughput_stats(decisions)
+        inst = instantaneous_rr([0.0, 0.01, 0.21])
         assert len(inst) == 2
         assert inst[0][1] == pytest.approx(100.0, rel=1e-9)
         assert inst[1][1] == pytest.approx(5.0, rel=1e-9)
-        assert ratio == pytest.approx(22 / 3, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            throughput_stats([])
+            instantaneous_rr([])
 
 
-# ------------------------------------------------------ fixed_rate_baseline
+# ----------------------------------------------------- nearest_divisor_rate
 
-class TestFixedRateBaseline:
-    @staticmethod
-    def _stream(n):
-        return [MeasurementTriplet(h * 0.01, 230.0 + 0j, 50.0, 0.0) for h in range(n)]
-
-    def test_divisor_one_keeps_all(self):
-        stream = self._stream(100)
-        assert fixed_rate_baseline(stream, 1) == stream
-
-    def test_divisor_two_on_101(self):
-        stream = self._stream(101)
-        kept = fixed_rate_baseline(stream, 2)
-        assert len(kept) == 51
-        assert kept[0] is stream[0]
-        assert kept[-1] is stream[100]
-
-    def test_divisor_ten_rate(self):
-        stream = self._stream(100)
-        kept = fixed_rate_baseline(stream, 10)
-        assert len(kept) == 10
-        gaps = np.diff([m.t for m in kept])
-        np.testing.assert_allclose(gaps, 0.1, rtol=1e-9)
-        assert len(stream) / len(kept) == 10.0
-
-    def test_bad_divisor_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fixed_rate_baseline(self._stream(10), 0)
-
-    def test_nearest_divisor_rate(self):
-        assert nearest_divisor_rate(100.0, 7.1) == 5.0
-        assert nearest_divisor_rate(100.0, 8.0) == 10.0
-        assert nearest_divisor_rate(100.0, 48.0) == 50.0
-        assert nearest_divisor_rate(100.0, 3.0) == 4.0  # tie between 2 and 4 goes up
+def test_nearest_divisor_rate():
+    assert nearest_divisor_rate(100.0, 7.1) == 5.0
+    assert nearest_divisor_rate(100.0, 8.0) == 10.0
+    assert nearest_divisor_rate(100.0, 48.0) == 50.0
+    assert nearest_divisor_rate(100.0, 3.0) == 4.0  # tie between 2 and 4 goes up

@@ -13,8 +13,8 @@ from click.testing import CliRunner
 from pmustream import pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
-from pmustream.errors import ProfileError
-from pmustream.estimators import run_estimator
+from pmustream.errors import ConfigError, ProfileError
+from pmustream.estimators import TripletSeries, run_estimator
 from pmustream.metrics import tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
@@ -177,7 +177,7 @@ class TestRunExperiment:
                                  n_first / config.fs, n_last / config.fs)
         kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
         grid = np.arange(n_first, n_last + 1) / config.fs
-        series = reconstruct(kept, grid, config.f0, est.ts)
+        series = reconstruct(TripletSeries.from_triplets(triplets), kept, grid, config.f0, est.ts)
         manual = tracking_indices(series, reference_series(gt, series.t), config.tre_formula)
 
         adaptive = reports[("i_ipdft", "adaptive")]
@@ -270,15 +270,19 @@ class TestRunExperiment:
         config = ExperimentConfig(
             profile_path="two_stage_collapse",
             algorithms=("p_iec",),
-            fixed_baselines=(),
+            fixed_baselines=(10,),
             output_dir=str(out),
             emit_traces=True,
         )
         reports = run_experiment(config)
-        with (out / "trace_p_iec_adaptive.csv").open(encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][-1] == "kept"
-        cols = np.array(rows[1:], dtype=float).T
+
+        def trace_columns(mode):
+            with (out / f"trace_p_iec_{mode}.csv").open(encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][-1] == "kept"
+            return rows[0], np.array(rows[1:], dtype=float).T
+
+        header, cols = trace_columns("adaptive")
 
         amp, freq = parse_profile(resolve_profile("two_stage_collapse"))
         gt = GroundTruth.from_anchors(amp, freq, f0=config.f0, fs=config.fs)
@@ -291,13 +295,39 @@ class TestRunExperiment:
         kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
         grid = np.arange(n_first, n_last + 1) / config.fs
         ref_phasor, ref_freq, ref_rocof = eval_reference(gt, grid)
-        series = reconstruct(kept, grid, config.f0, est.ts)
+        series = reconstruct(TripletSeries.from_triplets(triplets), kept, grid, config.f0, est.ts)
 
         expected = (grid, ref_phasor.real, ref_phasor.imag, ref_freq, ref_rocof,
                     series.phasor.real, series.phasor.imag, series.frequency, series.rocof)
-        for name, col, want in zip(rows[0], cols, expected):
+        for name, col, want in zip(header, cols, expected):
             np.testing.assert_array_equal(col, want, err_msg=name)
         assert cols[-1].sum() == reports[("p_iec", "adaptive")].kept_count
+        # report k sits on grid row k*r, in the adaptive and in a fixed trace
+        np.testing.assert_array_equal(np.flatnonzero(cols[-1]), kept * est.r)
+        _, fixed_cols = trace_columns("10fps")
+        np.testing.assert_array_equal(np.flatnonzero(fixed_cols[-1]),
+                                      np.arange(0, len(triplets), 10) * est.r)
+
+    def test_float_divisors_normalised(self, tmp_path):
+        outputs = []
+        for divisors in ((2,), (2.0,)):
+            out = tmp_path / f"d{len(outputs)}"
+            config = ExperimentConfig(
+                profile_path="ramp_amplitude_modulation",
+                algorithms=("p_iec",),
+                fixed_baselines=divisors,
+                output_dir=str(out),
+                emit_decisions=True,
+                emit_traces=True,
+            )
+            assert config.fixed_baselines == (2,)
+            assert type(config.fixed_baselines[0]) is int
+            run_experiment(config)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        for bad in ((2.5,), (0,), (0.0,), (-2,), (float("nan"),), (float("inf"),), ("2",)):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(profile_path="ramp_amplitude_modulation", fixed_baselines=bad)
 
     def test_reference_evaluated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -374,7 +404,6 @@ class TestLoadConfig:
     def test_missing_profile_rejected(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nf0 = 50\n", encoding="utf-8")
-        from pmustream.errors import ConfigError
         with pytest.raises(ConfigError):
             load_config(ini)
 
