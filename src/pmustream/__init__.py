@@ -38,11 +38,8 @@ from .estimators import (
 )
 from .metrics import (
     TrackingReport,
-    fe,
     instantaneous_rr,
-    rfe,
     tracking_indices,
-    tve,
 )
 from .pipeline import ExperimentConfig, emit_table, parse_profile, run_experiment
 from .waveform import (

@@ -68,9 +68,8 @@ def predict(last: MeasurementTriplet, dt: float, f0: float) -> tuple[complex, fl
     return phasor, last.frequency + last.rocof * dt, last.rocof
 
 
-def epsilon(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
-            thresholds: Thresholds, f0: float) -> np.ndarray:
-    """Normalized deviation vector between prediction and incoming triplet."""
+def _deviations(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
+                thresholds: Thresholds, f0: float) -> tuple[float, float, float]:
     dt = incoming.t - last_kept.t
     if dt <= 0:
         raise SequencingError("incoming triplet does not advance the stream clock")
@@ -82,7 +81,13 @@ def epsilon(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
         e1 = abs(phasor_p - incoming.phasor) / (thresholds.delta_tve * ref_mag)
     e2 = abs(freq_p - incoming.frequency) / thresholds.delta_fe
     e3 = abs(rocof_p - incoming.rocof) / thresholds.delta_rfe
-    return np.array([e1, e2, e3])
+    return e1, e2, e3
+
+
+def epsilon(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
+            thresholds: Thresholds, f0: float) -> np.ndarray:
+    """Normalized deviation vector between prediction and incoming triplet."""
+    return np.array(_deviations(last_kept, incoming, thresholds, f0))
 
 
 def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
@@ -93,12 +98,16 @@ def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
     """
     if last_kept is None:
         return DecisionRecord(incoming.t, True, None, "first"), incoming
-    eps = epsilon(last_kept, incoming, thresholds, f0)
-    kept = bool(np.max(eps) > 1.0)  # strictly above threshold
-    if kept:
-        binding = QUANTITY_NAMES[int(np.argmax(eps))]
-        return DecisionRecord(incoming.t, True, eps, binding), incoming
-    return DecisionRecord(incoming.t, False, eps, "none"), last_kept
+    eps = _deviations(last_kept, incoming, thresholds, f0)
+    # plain floats: a 3-element numpy reduction costs more than the rest of
+    # the decision.  Only the phasor deviation can be NaN (an overflowed
+    # deviation over an overflowed threshold); standing first, it makes max()
+    # return NaN like np.max, so such a frame is discarded
+    top = max(eps)
+    if top > 1.0:  # strictly above threshold
+        binding = QUANTITY_NAMES[eps.index(top)]  # first maximum, as np.argmax
+        return DecisionRecord(incoming.t, True, np.array(eps), binding), incoming
+    return DecisionRecord(incoming.t, False, np.array(eps), "none"), last_kept
 
 
 class Decimator:

@@ -1,4 +1,4 @@
-"""Point-wise error metrics, tracking-error indices and the reporting rate."""
+"""Tracking-error indices over a dense grid and the instantaneous reporting rate."""
 
 from __future__ import annotations
 
@@ -11,27 +11,6 @@ from .errors import InvalidInputError, UndefinedMetricError
 from .estimators import TripletSeries
 
 TRE_FORMULAS = ("rms", "printed")
-
-
-def tve(estimate, reference):
-    """Relative complex-plane distance in percent."""
-    ref_mag = np.abs(reference)
-    if np.any(ref_mag == 0.0):
-        raise UndefinedMetricError("TVE undefined for zero reference phasor")
-    out = 100.0 * np.abs(np.asarray(estimate) - np.asarray(reference)) / ref_mag
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def fe(estimate, reference):
-    """Signed frequency error in mHz."""
-    return 1e3 * (np.asarray(estimate) - np.asarray(reference)) if np.ndim(estimate) \
-        else 1e3 * (estimate - reference)
-
-
-def rfe(estimate, reference):
-    """Signed ROCOF error in Hz/s."""
-    return np.asarray(estimate) - np.asarray(reference) if np.ndim(estimate) \
-        else estimate - reference
 
 
 def _aggregate(dev: np.ndarray, formula: str) -> float:

@@ -69,7 +69,8 @@ class ExperimentConfig:
             self.estimator_config  # EstimatorConfig validates the sampling geometry
         except InvalidInputError as exc:
             raise ConfigError(f"invalid f0/fs/rr_in geometry: {exc}") from exc
-        if not all(isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1
+        if not all(isinstance(d, numbers.Real) and d >= 1
+                   and (isinstance(d, numbers.Integral) or float(d).is_integer())
                    for d in self.fixed_baselines):
             raise ConfigError("fixed baselines must be positive integer divisors")
         object.__setattr__(self, "fixed_baselines", tuple(int(d) for d in self.fixed_baselines))
@@ -114,7 +115,7 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
 
     columns: dict[str, list[tuple[float, float]]] = {
@@ -390,7 +391,7 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
             raise ConfigError(f"config file {path} does not exist")
         try:
             parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     exp = parser["experiment"] if parser.has_section("experiment") else {}
@@ -420,7 +421,7 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
             delta_fe=float(thr.get("delta_fe", Thresholds.delta_fe)),
             delta_rfe=float(thr.get("delta_rfe", Thresholds.delta_rfe)),
         )
-    except (ValueError, InvalidInputError) as exc:
+    except (ValueError, InvalidInputError, configparser.Error) as exc:
         raise ConfigError(f"bad value in config {path}: {exc}") from exc
     overrides = {k: v for k, v in overrides.items() if v is not None}
     threshold_overrides = {

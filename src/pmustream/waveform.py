@@ -24,6 +24,8 @@ SQRT2 = math.sqrt(2.0)
 # reporting time may deviate from it by at most this many sample periods.
 GRID_ALIGN_TOL = 1e-6
 
+SYNTH_CHUNK = 32_768  # samples synthesized per slice
+
 
 @dataclass(frozen=True)
 class AnchorSeries:
@@ -313,21 +315,24 @@ def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
     n0 = round(t0 * gt.fs)
     if abs(t0 * gt.fs - n0) > GRID_ALIGN_TOL:
         raise InvalidInputError(f"t0={t0} does not lie on the 1/{gt.fs} s sampling grid")
-    t = (n0 + np.arange(n)) / gt.fs
     lo, hi = gt.domain
-    if t[0] < lo or t[-1] > hi:
+    t_first, t_last = n0 / gt.fs, (n0 + n - 1) / gt.fs
+    if t_first < lo or t_last > hi:
         raise DomainError(
-            f"samples [{t[0]}, {t[-1]}] exceed the ground-truth domain [{lo}, {hi}]"
+            f"samples [{t_first}, {t_last}] exceed the ground-truth domain [{lo}, {hi}]"
         )
-    amp = gt.amplitude(t)
-    amp *= SQRT2
-    base = gt.phase(t)
-    base += 2.0 * math.pi * gt.f0 * t
     phases = np.empty((3, n))
-    for p, row in enumerate(phases):
-        np.subtract(base, 2.0 * math.pi * p / 3.0, out=row)
-        np.cos(row, out=row)
-        row *= amp
+    # synthesis is pointwise: slices bound the temporaries to O(SYNTH_CHUNK)
+    for start in range(0, n, SYNTH_CHUNK):
+        t = (n0 + np.arange(start, min(start + SYNTH_CHUNK, n))) / gt.fs
+        amp = gt.amplitude(t)
+        amp *= SQRT2
+        base = gt.phase(t)
+        base += 2.0 * math.pi * gt.f0 * t
+        for p, row in enumerate(phases[:, start:start + t.size]):
+            np.subtract(base, 2.0 * math.pi * p / 3.0, out=row)
+            np.cos(row, out=row)
+            row *= amp
     return SampleBlock(n0, gt.fs, phases)
 
 

@@ -7,8 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmustream.decimator import (
+    QUANTITY_NAMES,
+    DecisionRecord,
+    Decimator,
     Thresholds,
     decide,
     decimate_stream,
@@ -69,6 +74,28 @@ def offline_keep_indices(triplets, thresholds, f0) -> list[int]:
         if found is None:
             return kept
         kept.append(found)
+
+
+def oracle_decide(last_kept, incoming, thresholds, f0):
+    """``decide`` as first written, with numpy reductions over the deviation
+    array; the plain-float ``decide`` must match it bit for bit."""
+    if last_kept is None:
+        return DecisionRecord(incoming.t, True, None, "first"), incoming
+    eps = epsilon(last_kept, incoming, thresholds, f0)
+    kept = bool(np.max(eps) > 1.0)  # strictly above threshold
+    if kept:
+        binding = QUANTITY_NAMES[int(np.argmax(eps))]
+        return DecisionRecord(incoming.t, True, eps, binding), incoming
+    return DecisionRecord(incoming.t, False, eps, "none"), last_kept
+
+
+def assert_same_record(got: DecisionRecord, want: DecisionRecord):
+    assert (got.t, got.kept, got.binding_quantity) == (want.t, want.kept, want.binding_quantity)
+    if want.epsilon is None:
+        assert got.epsilon is None
+    else:
+        assert got.epsilon.dtype == want.epsilon.dtype
+        assert got.epsilon.tobytes() == want.epsilon.tobytes()
 
 
 # ----------------------------------------------------------------- predict
@@ -325,3 +352,107 @@ class TestDecimatorInvariants:
             Thresholds(delta_tve=0.0)
         with pytest.raises(InvalidInputError):
             Thresholds(delta_rfe=-0.1)
+
+
+# ------------------------------------------ plain-float decide vs the oracle
+
+log_threshold = st.floats(-6.0, 1.0).map(lambda x: 10.0 ** x)
+thresholds_st = st.builds(Thresholds, log_threshold, log_threshold, log_threshold)
+
+
+@st.composite
+def decision_pairs(draw):
+    """A last kept triplet (or None) and an incoming one whose deviations
+    are each about ``u`` times its threshold, u in [-3, 3]."""
+    thresholds = draw(thresholds_st)
+    incoming_t = draw(st.floats(1e-3, 100.0))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None, triplet(incoming_t, 230.0, 50.0, 0.0), thresholds
+    magnitude = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)))
+    last = triplet(draw(st.floats(0.0, 99.0)),
+                   cmath.rect(magnitude, draw(st.floats(-math.pi, math.pi))),
+                   draw(st.floats(45.0, 55.0)), draw(st.floats(-5.0, 5.0)))
+    dt = draw(st.floats(1e-4, 5.0))
+    phasor_p, freq_p, rocof_p = predict(last, dt, F0)
+    u1, u2, u3 = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    incoming = triplet(
+        last.t + dt,
+        phasor_p + u1 * thresholds.delta_tve * max(magnitude, 1.0)
+        * cmath.exp(1j * draw(st.floats(-math.pi, math.pi))),
+        freq_p + u2 * thresholds.delta_fe,
+        rocof_p + u3 * thresholds.delta_rfe,
+    )
+    return last, incoming, thresholds
+
+
+def noisy_stream(seed: int, n: int, noise: float) -> list[MeasurementTriplet]:
+    """An oscillating 100 fps stream with independent noise on every field."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.01
+    freq = 50.0 + 0.3 * np.sin(2.0 * math.pi * 0.5 * t) + noise * rng.standard_normal(n)
+    rocof = 0.3 * math.pi * np.cos(2.0 * math.pi * 0.5 * t) + 50.0 * noise * rng.standard_normal(n)
+    angle = np.cumsum(2.0 * math.pi * (freq - F0) * 0.01)
+    amp = 230.0 * (1.0 + noise * rng.standard_normal(n))
+    return [triplet(float(t[h]), cmath.rect(float(amp[h]), float(angle[h])),
+                    float(freq[h]), float(rocof[h])) for h in range(n)]
+
+
+class TestDecideMatchesOracle:
+    @given(pair=decision_pairs())
+    # ties resolve to the first quantity, as np.argmax does
+    @example(pair=(triplet(0.0, 1.0, 50.0, 0.0), triplet(0.01, 1.0, 52.0, 2.0),
+                   Thresholds(1.0, 1.0, 1.0)))
+    @example(pair=(triplet(0.0, 1.0, 50.0, 0.0), triplet(0.01, 3.0, 52.0, 2.0),
+                   Thresholds(1.0, 1.0, 1.0)))
+    # a deviation of exactly 1.0 is not above the threshold
+    @example(pair=(triplet(0.0, 1.0, 50.0, 0.0), triplet(0.01, 1.0, 51.0, 0.0),
+                   Thresholds(1.0, 1.0, 1.0)))
+    # zero-magnitude reference: e1 = inf
+    @example(pair=(triplet(0.0, 0.0, 50.0, 0.0), triplet(0.01, 230.0, 50.0, 0.0),
+                   DEFAULTS))
+    # overflowed phasor deviation over an overflowed threshold: e1 = inf/inf = NaN
+    @example(pair=(triplet(0.0, 1e308, 50.0, 0.0), triplet(0.01, -1e308, 52.0, 0.0),
+                   Thresholds(10.0, 1.0, 1.0)))
+    def test_decide_matches_oracle_bitwise(self, pair):
+        last, incoming, thresholds = pair
+        record, state = decide(last, incoming, thresholds, F0)
+        want_record, want_state = oracle_decide(last, incoming, thresholds, F0)
+        assert_same_record(record, want_record)
+        assert state is want_state
+
+    def test_explicit_examples_reach_every_case(self):
+        one = Thresholds(1.0, 1.0, 1.0)
+        base = triplet(0.0, 1.0, 50.0, 0.0)
+        cases = [
+            (base, triplet(0.01, 1.0, 52.0, 2.0), one, [0.0, 2.0, 2.0], "frequency"),
+            (base, triplet(0.01, 3.0, 52.0, 2.0), one, [2.0, 2.0, 2.0], "phasor"),
+            (base, triplet(0.01, 1.0, 51.0, 0.0), one, [0.0, 1.0, 0.0], "none"),
+            (triplet(0.0, 0.0, 50.0, 0.0), triplet(0.01, 230.0, 50.0, 0.0), DEFAULTS,
+             [math.inf, 0.0, 0.0], "phasor"),
+        ]
+        for last, incoming, thresholds, eps, binding in cases:
+            record, _ = decide(last, incoming, thresholds, F0)
+            assert record.epsilon.tolist() == eps
+            assert record.binding_quantity == binding
+        nan_record, state = decide(triplet(0.0, 1e308, 50.0, 0.0),
+                                   triplet(0.01, -1e308, 52.0, 0.0), Thresholds(10.0, 1.0, 1.0),
+                                   F0)
+        assert math.isnan(nan_record.epsilon[0]) and nan_record.epsilon[1] == 2.0
+        assert not nan_record.kept and state.t == 0.0
+
+    @given(thresholds=thresholds_st, seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(1, 120), noise=st.floats(0.0, 1e-2))
+    def test_streaming_equals_batch_equals_oracle_replay(self, thresholds, seed, n, noise):
+        stream = noisy_stream(seed, n, noise)
+        dec = Decimator(thresholds, F0)
+        streamed = [dec.process(m) for m in stream]
+        kept, records = decimate_stream(stream, thresholds, F0)
+        last = None
+        for m, online, batch, stored in zip(stream, streamed, records, dec.records,
+                                            strict=True):
+            want, last = oracle_decide(last, m, thresholds, F0)
+            assert stored is online
+            assert_same_record(online, want)
+            assert_same_record(batch, want)
+        assert kept.tolist() == [h for h, r in enumerate(streamed) if r.kept]
+        assert kept.tolist() == offline_keep_indices(stream, thresholds, F0)

@@ -28,6 +28,7 @@ from pmustream.estimators import (
     p_iec_estimate,
     run_estimator,
 )
+from pmustream.pipeline import parse_profile, resolve_profile
 from pmustream.waveform import (
     SQRT2,
     AnchorSeries,
@@ -406,6 +407,78 @@ class TestPiecKernelMatchesScalarOracle:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# ------------------------- per-report arithmetic against its numpy-array form
+#
+# p_iec_estimate and ipdft_estimate moved their last per-report steps from
+# small numpy arrays to plain floats; these are those steps as first written,
+# which the estimators must reproduce bit for bit.
+
+def array_form_p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
+                              t_report: float) -> MeasurementTriplet:
+    m = config.m
+    ic = _report_index(block, config.fs, t_report)
+    kernel, roots = _piec_tables(m)
+    window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
+    rotation = roots[(block.start_index + ic - m) % m]
+    p0, p1, p2 = ((window @ kernel).view(complex) * rotation).tolist()
+    step01 = cmath.phase(p1 * p0.conjugate())
+    step12 = cmath.phase(p2 * p1.conjugate())
+    ts = config.ts
+    freq = config.f0 + (step01 + step12) / (4.0 * math.pi * ts)
+    rocof = (step12 - step01) / (2.0 * math.pi * ts * ts)
+    return MeasurementTriplet(t_report, p1 / _triangle_gain(freq - config.f0, m, ts),
+                              freq, rocof)
+
+
+def array_form_ipdft_estimate(block: SampleBlock, config: EstimatorConfig, t_report: float,
+                              iterations: int) -> MeasurementTriplet:
+    ic = _report_index(block, config.fs, t_report)
+    phasors, freqs = _ipdft_windows(block, np.array([ic - config.r, ic]), config, iterations)
+    freq_prev, freq = (float(f) for f in freqs.mean(axis=0))
+    rocof = (freq - freq_prev) * config.internal_rate
+    return MeasurementTriplet(t_report, complex(phasors[1]), freq, rocof)
+
+
+def assert_same_triplet(got: MeasurementTriplet, want: MeasurementTriplet):
+    # == on floats would let -0.0 pass for 0.0; compare the bits
+    assert np.array([got.t, got.phasor.real, got.phasor.imag, got.frequency, got.rocof]
+                    ).tobytes() == np.array([want.t, want.phasor.real, want.phasor.imag,
+                                             want.frequency, want.rocof]).tobytes()
+
+
+class TestPerReportArithmeticBitwise:
+    @settings(max_examples=60)
+    @given(
+        freq=st.floats(45.0, 55.0),
+        amp=st.floats(1.0, 400.0),
+        phase0=st.floats(-math.pi, math.pi),
+        scales=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+        rocof=st.floats(-1.0, 1.0),
+        n_report=st.integers(0, 120 * round(CFG.fs)),
+        iterations=st.integers(0, 3),
+    )
+    def test_random_signals(self, freq, amp, phase0, scales, rocof, n_report, iterations):
+        block = report_block(n_report, freq, amp, phase0, scales, rocof)
+        t_report = n_report / CFG.fs
+        assert_same_triplet(p_iec_estimate(block, CFG, t_report),
+                            array_form_p_iec_estimate(block, CFG, t_report))
+        block = sinusoid_block(freq, amp, phase0, scales, rocof)
+        assert_same_triplet(ipdft_estimate(block, CFG, 0.2, iterations=iterations),
+                            array_form_ipdft_estimate(block, CFG, 0.2, iterations))
+
+    @pytest.mark.parametrize("profile", ["abrupt_collapse", "ramp_amplitude_modulation"])
+    def test_bundled_profile_reports(self, profile):
+        gt = GroundTruth.from_anchors(*parse_profile(resolve_profile(profile)))
+        block = block_for(gt, 0.0)
+        for n in range(400, block.n - 400, 37):
+            t_report = n / CFG.fs
+            assert_same_triplet(p_iec_estimate(block, CFG, t_report),
+                                array_form_p_iec_estimate(block, CFG, t_report))
+            if n % 5 == 0:
+                assert_same_triplet(ipdft_estimate(block, CFG, t_report),
+                                    array_form_ipdft_estimate(block, CFG, t_report, 3))
+
+
 # ------------------------------------------------------------ run_estimator
 
 class TestRunEstimator:
@@ -523,5 +596,10 @@ class TestEstimatorInvariants:
             EstimatorConfig(f0=50.0, fs=10_001.0)
         with pytest.raises(InvalidInputError):
             EstimatorConfig(internal_rate=3.0)
+        # zero, negative and non-finite rates used to escape as
+        # ZeroDivisionError, ValueError or OverflowError
+        for bad in ({"f0": 0.0}, {"fs": -1e4}, {"fs": math.inf}, {"internal_rate": math.nan}):
+            with pytest.raises(InvalidInputError, match="finite and strictly positive"):
+                EstimatorConfig(**bad)
         assert CFG.m == 200
         assert CFG.r == 100

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmustream import pipeline
 from pmustream.cli import main as cli_main
@@ -42,6 +44,12 @@ BUNDLED = [
 def write_profile(tmp_path: Path, body: str, name="profile.csv") -> Path:
     path = tmp_path / name
     path.write_text(body, encoding="utf-8")
+    return path
+
+
+def write_bytes(tmp_path: Path, body: bytes, name: str) -> Path:
+    path = tmp_path / name
+    path.write_bytes(body)
     return path
 
 
@@ -102,6 +110,11 @@ class TestParseProfile:
             "frequency_Hz,2,50\nfrequency_Hz,3,50\n"
         with pytest.raises(ProfileError):
             parse_profile(write_profile(tmp_path, body))
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        bad = write_bytes(tmp_path, MINIMAL.encode() + b"# \xff\n", "latin.csv")
+        with pytest.raises(ProfileError, match="cannot read profile"):
+            parse_profile(bad)
 
 
 # ---------------------------------------------------------- bundled library
@@ -407,6 +420,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(ini)
 
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        ini = write_bytes(tmp_path, b"[experiment]\nprofile = \xff\n", "exp.ini")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(ini)
+
 
 # --------------------------------------------------------------------- CLI
 
@@ -436,6 +454,16 @@ class TestCli:
         assert (out / "table.txt").is_file()
         assert "compression ratio" in result.output
 
+    def test_non_utf8_input_exit_2(self, tmp_path):
+        profile = write_bytes(tmp_path, MINIMAL.encode() + b"# \xff\n", "latin.csv")
+        ini = write_bytes(tmp_path, b"[experiment]\nprofile = \xff\n", "exp.ini")
+        for argv in (["validate", "--profile", str(profile)],
+                     ["run", "--profile", str(profile), "--out", str(tmp_path / "o")],
+                     ["run", "--config", str(ini), "--out", str(tmp_path / "o")]):
+            result = CliRunner().invoke(cli_main, argv)
+            assert result.exit_code == 2, (argv, result.output)
+            assert "error:" in result.output
+
     def test_run_without_inputs_exit_2(self):
         result = CliRunner().invoke(cli_main, ["run"])
         assert result.exit_code == 2
@@ -464,3 +492,96 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert (out / "summary.json").is_file()
+
+
+# ------------------------------------------------------------ parser fuzzing
+
+def _number():
+    return st.one_of(
+        st.integers(-2, 6).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["", "nan", "-inf", "1e999", "-0", "0x1p3", "1_0", "x"]),
+    )
+
+
+def _profile_text():
+    """Profile-shaped text: the header, an amplitude and a frequency series
+    with increasing times, and at most one arbitrary row dropped in."""
+    number = st.one_of(st.integers(-2, 6), st.floats(-1e308, 1e308))
+    times = st.lists(number, max_size=4, unique=True).map(sorted)
+    series = st.builds(lambda q, ts, vs: [f"{q},{t!r},{v!r}" for t, v in zip(ts, vs)],
+                       st.sampled_from(["amplitude_V", "frequency_Hz"]), times,
+                       st.lists(number, min_size=4, max_size=4))
+    junk = st.one_of(
+        st.tuples(st.sampled_from(["amplitude_V", "frequency_Hz", "current_A"]),
+                  _number(), _number()).map(",".join),
+        st.lists(st.one_of(_number(), st.text(max_size=4)), min_size=1,
+                 max_size=4).map(",".join))
+
+    def render(prefix, first, second, extra, at):
+        rows = first + second
+        if extra is not None:
+            rows.insert(at, extra)
+        return prefix + "\n".join(["quantity,t_s,value", *rows])
+
+    return st.builds(render, st.sampled_from(["", "# comment\n", "\n", "x,y\n"]),
+                     series, series, st.one_of(st.none(), junk), st.integers(0, 8))
+
+
+def _ini_text():
+    """INI text over the keys load_config reads, each with an arbitrary value."""
+    value = st.one_of(
+        _number(),
+        st.sampled_from(["p_iec", "i_ipdft", "p_iec, i_ipdft", "rms", "printed", "10, 20",
+                         "2.0", "%", "%(x)s", "1" + "0" * 400, "steady_nominal"]),
+        st.text(max_size=6),
+    )
+    experiment = st.dictionaries(
+        st.sampled_from(["f0", "fs", "rr_in", "phase0", "ipdft_iterations", "algorithms",
+                         "fixed_baselines", "tre_formula", "out_dir", "x"]), value, max_size=6)
+    thresholds = st.dictionaries(st.sampled_from(["delta_tve", "delta_fe", "delta_rfe"]),
+                                 value, max_size=3)
+
+    def render(profile, exp, thr, tail):
+        lines = ["[experiment]", *([f"profile = {profile}"] if profile is not None else []),
+                 *(f"{k} = {v}" for k, v in exp.items()),
+                 "[thresholds]", *(f"{k} = {v}" for k, v in thr.items()), *tail]
+        return "\n".join(lines)
+
+    return st.builds(render, st.one_of(st.none(), value), experiment, thresholds,
+                     st.lists(st.text(max_size=8), max_size=1))
+
+
+class TestParserFuzz:
+    """Only the parsers' own error types may escape, whatever the file holds."""
+
+    @settings(max_examples=300)
+    @given(body=st.one_of(
+        _profile_text().map(lambda s: s.encode("utf-8", "surrogatepass")),
+        st.one_of(st.text().map(lambda s: s.encode("utf-8", "surrogatepass")), st.binary())))
+    @example(body=b"quantity,t_s,value\namplitude_V,0,1\namplitude_V,1e308,1\n"
+                  b"frequency_Hz,-1e308,50\nfrequency_Hz,1e308,50\n")
+    def test_parse_profile_raises_only_profile_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz_profile.csv"
+        path.write_bytes(body)
+        try:
+            parse_profile(path)
+        except ProfileError:
+            pass
+
+    @settings(max_examples=300)
+    @given(body=st.one_of(_ini_text(), st.text()))
+    # these five used to escape load_config as InterpolationSyntaxError,
+    # ZeroDivisionError, ValueError and OverflowError (twice)
+    @example(body="[experiment]\nprofile = a%b\n")
+    @example(body="[experiment]\nprofile = p\nf0 = 0\n")
+    @example(body="[experiment]\nprofile = p\nrr_in = nan\n")
+    @example(body="[experiment]\nprofile = p\nfs = inf\n")
+    @example(body="[experiment]\nprofile = p\nfixed_baselines = 1" + "0" * 400 + "\n")
+    def test_load_config_raises_only_config_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz_config.ini"
+        path.write_bytes(body.encode("utf-8", "surrogatepass"))
+        try:
+            load_config(path)
+        except ConfigError:
+            pass

@@ -15,6 +15,7 @@ from pmustream.waveform import (
     GroundTruth,
     PiecewisePoly,
     SQRT2,
+    SYNTH_CHUNK,
     eval_reference,
     integrate_phase,
     pchip_fit,
@@ -179,6 +180,21 @@ class TestSynthThreePhase:
             rms = math.sqrt(float(np.mean(window ** 2)))
             assert rms == pytest.approx(gt.amplitude(t_c), rel=5e-3)
 
+    def test_slices_equal_whole_array_formula_bitwise(self):
+        # the formula on one whole-length time array, as synthesis first ran
+        gt = GroundTruth.from_anchors(
+            series((0.0, 100.0), (3.0, 101.0), (8.0, 100.5)),
+            series((0.0, 50.0), (3.0, 50.2), (8.0, 50.0)),
+        )
+        n0, n = 3, 2 * SYNTH_CHUNK + 5
+        t = (n0 + np.arange(n)) / gt.fs
+        amp = SQRT2 * gt.amplitude(t)
+        base = gt.phase(t) + 2.0 * math.pi * gt.f0 * t
+        want = np.array([np.cos(base - 2.0 * math.pi * p / 3.0) * amp for p in range(3)])
+        got = synth_three_phase(gt, n0 / gt.fs, n)
+        assert got.start_index == n0
+        assert got.samples.tobytes() == want.tobytes()
+
     def test_off_grid_start_rejected(self):
         gt = steady_gt()
         with pytest.raises(InvalidInputError):
@@ -218,9 +234,10 @@ class TestEvaluationMemory:
         t = np.linspace(0.0, 40.0, self.N)
         assert traced_peak(lambda: gt.phase(t)) < 5 * 8 * self.N
 
-    def test_synthesis_peak_below_ten_sample_arrays(self):
+    def test_synthesis_peak_below_four_sample_arrays(self):
+        # the (3, N) result is three of them; slices keep the rest below one
         gt = self.oscillating_gt()
-        assert traced_peak(lambda: synth_three_phase(gt, 1.0, self.N)) < 10 * 8 * self.N
+        assert traced_peak(lambda: synth_three_phase(gt, 1.0, self.N)) < 4 * 8 * self.N
 
 
 # ----------------------------------------------------------- eval_reference
