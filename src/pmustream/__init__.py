@@ -12,7 +12,6 @@ from .decimator import (
     Thresholds,
     decide,
     decimate_stream,
-    epsilon,
     predict,
     reconstruct,
 )

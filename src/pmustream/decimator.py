@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -37,9 +37,7 @@ class Thresholds:
     delta_rfe: float = 0.07   # Hz/s
 
     def __post_init__(self):
-        for name, value in (("delta_tve", self.delta_tve),
-                            ("delta_fe", self.delta_fe),
-                            ("delta_rfe", self.delta_rfe)):
+        for name, value in asdict(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise InvalidInputError(f"{name} must be finite and strictly positive")
 
@@ -82,12 +80,6 @@ def _deviations(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
     e2 = abs(freq_p - incoming.frequency) / thresholds.delta_fe
     e3 = abs(rocof_p - incoming.rocof) / thresholds.delta_rfe
     return e1, e2, e3
-
-
-def epsilon(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
-            thresholds: Thresholds, f0: float) -> np.ndarray:
-    """Normalized deviation vector between prediction and incoming triplet."""
-    return np.array(_deviations(last_kept, incoming, thresholds, f0))
 
 
 def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
@@ -167,7 +159,9 @@ def reconstruct(
 
     idx = np.searchsorted(kt, q + tol, side="right") - 1
     dt = q - kt[idx]
-    exact = np.abs(dt) <= tol
+    # kt[idx] <= q + tol, so dt >= -tol up to rounding: testing |dt| would
+    # send such a rounding case to a backward prediction instead of the row
+    exact = dt <= tol
     rows = kept[idx]
     del idx
     # gather each kept column once and work in place, in predict()'s

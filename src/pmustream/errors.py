@@ -42,3 +42,10 @@ class ProfileError(PmuStreamError, ValueError):
 
 class ConfigError(PmuStreamError, ValueError):
     """An experiment configuration is missing or inconsistent."""
+
+
+def with_context(exc: BaseException, context: str) -> BaseException:
+    """Prefix ``context`` to the message of ``exc`` in place; its type, which
+    callers map to exit codes, is kept.  Returns ``exc`` for ``raise``."""
+    exc.args = (f"{context}: {exc}",)
+    return exc

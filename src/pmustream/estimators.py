@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSignalError, InvalidInputError
+from .errors import DegenerateSignalError, InvalidInputError, PmuStreamError, with_context
 from .waveform import GRID_ALIGN_TOL, GroundTruth, SampleBlock, SQRT2, synth_three_phase
 
 ALGORITHMS = ("p_iec", "i_ipdft")
@@ -148,6 +148,8 @@ def _check_frequency(freq: float, config: EstimatorConfig) -> None:
 
 
 def _report_index(block: SampleBlock, fs: float, t_report: float) -> int:
+    if block.fs != fs:
+        raise InvalidInputError(f"sample block at {block.fs} Hz, estimator configured for {fs} Hz")
     pos = t_report * fs
     n = round(pos)
     if abs(pos - n) > GRID_ALIGN_TOL:
@@ -370,7 +372,10 @@ def run_estimator(
         if n_start - left < block.start_index or n_end + right >= block.start_index + block.n:
             raise InvalidInputError("sample block does not cover the estimator windows")
 
-    return [
-        kind.estimate(block, config, n / fs)
-        for n in range(n_start, n_end + 1, config.r)
-    ]
+    triplets = []
+    try:
+        for n in range(n_start, n_end + 1, config.r):
+            triplets.append(kind.estimate(block, config, n / fs))
+    except (PmuStreamError, ArithmeticError) as exc:
+        raise with_context(exc, f"report at t = {n / fs} s")
+    return triplets

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,8 @@ def tracking_indices(
         raise InvalidInputError("reconstruction and reference must share one grid")
     ref_mag = np.abs(reference.phasor)
     if np.any(ref_mag == 0.0):
-        raise UndefinedMetricError("tracking index undefined where |reference phasor| = 0")
+        raise UndefinedMetricError("tracking index undefined where |reference phasor| = 0, "
+                                   f"first at t = {reference.t[ref_mag == 0.0][0]} s")
     dev = np.abs(reconstructed.phasor - reference.phasor)
     dev /= ref_mag
     tre_tve = _aggregate(dev, formula) * 100.0
@@ -70,7 +71,6 @@ class TrackingReport:
     tre_rfe: float                       # Hz/s
     kept_count: int
     total_count: int
-    instantaneous_rr: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.kept_count < 1:

@@ -13,7 +13,7 @@ import configparser
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .decimator import DecisionRecord, Thresholds, decimate_stream, reconstruct
-from .errors import ConfigError, InvalidInputError, ProfileError
+from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError, with_context
 from .estimators import (
     ALGORITHMS,
     EstimatorConfig,
@@ -56,6 +56,9 @@ class ExperimentConfig:
     ipdft_iterations: int = 3
     emit_decisions: bool = False
     emit_traces: bool = False
+    # reporting modes as (label, divisor) in table order: full rate, the fixed
+    # divisors ascending, then adaptive (divisor None); derived, not settable
+    modes: tuple[tuple[str, int | None], ...] = field(init=False)
 
     def __post_init__(self):
         if not self.algorithms:
@@ -74,6 +77,12 @@ class ExperimentConfig:
                    for d in self.fixed_baselines):
             raise ConfigError("fixed baselines must be positive integer divisors")
         object.__setattr__(self, "fixed_baselines", tuple(int(d) for d in self.fixed_baselines))
+        divisors = [1] + sorted(set(self.fixed_baselines) - {1})
+        try:
+            modes = tuple((f"{self.rr_in / d:g}fps", d) for d in divisors)
+        except OverflowError as exc:
+            raise ConfigError(f"fixed baseline divisor too large: {exc}") from exc
+        object.__setattr__(self, "modes", modes + (("adaptive", None),))
 
     @property
     def estimator_config(self) -> EstimatorConfig:
@@ -165,13 +174,6 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     return amplitude, frequency
 
 
-def _modes(config: ExperimentConfig) -> list[tuple[str, int | None]]:
-    """Reporting modes as (label, divisor) in table order: full rate, the fixed
-    divisors ascending, then adaptive (divisor None)."""
-    divisors = [1] + sorted(set(config.fixed_baselines) - {1})
-    return [(f"{config.rr_in / d:g}fps", d) for d in divisors] + [("adaptive", None)]
-
-
 def evaluation_window(config: ExperimentConfig, gt: GroundTruth) -> tuple[int, int, int, int]:
     """Common reporting/evaluation geometry for all configured algorithms.
 
@@ -211,54 +213,47 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
 
     reports: dict[tuple[str, str], TrackingReport] = {}
     for name in config.algorithms:
-        kind = config.kind(name)
-        triplets = run_estimator(kind, block, est, n_first / fs, n_last / fs)
+        try:
+            triplets = run_estimator(config.kind(name), block, est, n_first / fs, n_last / fs)
+        except (PmuStreamError, ArithmeticError) as exc:
+            raise with_context(exc, name)
         stream = TripletSeries.from_triplets(triplets)
         total = len(stream)
         adaptive_kept, records = decimate_stream(triplets, config.thresholds, config.f0)
 
-        for mode, divisor in _modes(config):
+        for mode, divisor in config.modes:
             kept = adaptive_kept if divisor is None else np.arange(0, total, divisor)
-            series = reconstruct(stream, kept, grid, config.f0, est.ts)
-            tre_tve, tre_fe, tre_rfe = tracking_indices(series, reference, config.tre_formula)
-            reports[(name, mode)] = TrackingReport(
-                algorithm=name,
-                rr_mode=mode,
-                tre_tve=tre_tve,
-                tre_fe=tre_fe,
-                tre_rfe=tre_rfe,
-                kept_count=kept.size,
-                total_count=total,
-                instantaneous_rr=instantaneous_rr(stream.t[kept]) if divisor is None else [],
-            )
+            try:
+                series = reconstruct(stream, kept, grid, config.f0, est.ts)
+                tre = tracking_indices(series, reference, config.tre_formula)
+            except (PmuStreamError, ArithmeticError) as exc:
+                raise with_context(exc, f"{name} {mode}")
+            reports[(name, mode)] = TrackingReport(name, mode, *tre, kept.size, total)
             if config.emit_traces:
                 _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
                              kept * est.r)  # report k sits on grid row k*r
 
         _write_kept_jsonl(out_dir / f"kept_{name}_adaptive.jsonl", triplets, records,
                           adaptive_kept)
-        _write_instantaneous_rr(
-            out_dir / f"instantaneous_rr_{name}_adaptive.csv",
-            reports[(name, "adaptive")].instantaneous_rr,
-        )
+        _write_instantaneous_rr(out_dir / f"instantaneous_rr_{name}_adaptive.csv",
+                                stream.t[adaptive_kept])
         if config.emit_decisions:
             _write_decision_log(out_dir / f"decisions_{name}_adaptive.jsonl", triplets, records)
 
-    csv_text, human_text = emit_table(list(reports.values()), config)
+    csv_text, human_text = emit_table(reports, config)
     (out_dir / "table.csv").write_text(csv_text, encoding="utf-8")
     (out_dir / "table.txt").write_text(human_text, encoding="utf-8")
     (out_dir / "summary.json").write_text(_summary_json(config, reports), encoding="utf-8")
     return reports
 
 
-def emit_table(reports: Sequence[TrackingReport], config: ExperimentConfig) -> tuple[str, str]:
-    """Long-format CSV plus human-readable table, in deterministic order."""
-    if not reports:
-        raise InvalidInputError("nothing to tabulate")
-    by_key = {(r.algorithm, r.rr_mode): r for r in reports}
-    algorithms = [a for a in config.algorithms if any(k[0] == a for k in by_key)]
-    modes = [m for m, _ in _modes(config) if any(k[1] == m for k in by_key)]
-
+def emit_table(reports: dict[tuple[str, str], TrackingReport],
+               config: ExperimentConfig) -> tuple[str, str]:
+    """Long-format CSV plus human-readable table of the ``run_experiment``
+    reports for ``config``, in its algorithm and mode order."""
+    algorithms = config.algorithms
+    modes = [mode for mode, _ in config.modes]
+    adaptive = [reports[(algo, "adaptive")] for algo in algorithms]
     index_rows = [
         ("TrE_TVE [%]", lambda r: r.tre_tve),
         ("TrE_FE [mHz]", lambda r: r.tre_fe),
@@ -268,12 +263,10 @@ def emit_table(reports: Sequence[TrackingReport], config: ExperimentConfig) -> t
     for label, getter in index_rows:
         for mode in modes:
             for algo in algorithms:
-                report = by_key.get((algo, mode))
-                if report is not None:
-                    csv_lines.append(f"{label},{mode},{algo},{getter(report)!r}")
-    for algo in algorithms:
-        report = by_key.get((algo, "adaptive")) or by_key[(algo, modes[0])]
-        csv_lines.append(f"compression_ratio,adaptive,{algo},{report.compression_ratio!r}")
+                csv_lines.append(f"{label},{mode},{algo},{getter(reports[(algo, mode)])!r}")
+    for report in adaptive:
+        csv_lines.append(
+            f"compression_ratio,adaptive,{report.algorithm},{report.compression_ratio!r}")
 
     width = 14
     header = f"{'Index':<16}{'RR':<12}" + "".join(f"{a:>{width}}" for a in algorithms)
@@ -281,17 +274,11 @@ def emit_table(reports: Sequence[TrackingReport], config: ExperimentConfig) -> t
     human = [header, sep]
     for label, getter in index_rows:
         for mode in modes:
-            cells = []
-            for algo in algorithms:
-                report = by_key.get((algo, mode))
-                cells.append(f"{getter(report):>{width}.4g}" if report else " " * width)
-            human.append(f"{label:<16}{mode:<12}" + "".join(cells))
+            human.append(f"{label:<16}{mode:<12}" + "".join(
+                f"{getter(reports[(algo, mode)]):>{width}.4g}" for algo in algorithms))
         human.append(sep)
-    ratio_cells = "".join(
-        f"{(by_key.get((a, 'adaptive')) or by_key[(a, modes[0])]).compression_ratio:>{width}.4g}"
-        for a in algorithms
-    )
-    human.append(f"{'Compression':<16}{'adaptive':<12}" + ratio_cells)
+    human.append(f"{'Compression':<16}{'adaptive':<12}" + "".join(
+        f"{r.compression_ratio:>{width}.4g}" for r in adaptive))
     return "\n".join(csv_lines) + "\n", "\n".join(human) + "\n"
 
 
@@ -302,11 +289,7 @@ def _summary_json(config: ExperimentConfig,
         "f0": config.f0,
         "fs": config.fs,
         "rr_in": config.rr_in,
-        "thresholds": {
-            "delta_tve": config.thresholds.delta_tve,
-            "delta_fe": config.thresholds.delta_fe,
-            "delta_rfe": config.thresholds.delta_rfe,
-        },
+        "thresholds": asdict(config.thresholds),
         "tre_formula": config.tre_formula,
         "reports": {
             f"{algo}/{mode}": {
@@ -357,8 +340,8 @@ def _write_decision_log(path: Path, triplets: Sequence[MeasurementTriplet],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_instantaneous_rr(path: Path, series: Sequence[tuple[float, float]]) -> None:
-    lines = ["t_s,rr_fps"] + [f"{t!r},{rr!r}" for t, rr in series]
+def _write_instantaneous_rr(path: Path, kept_times: np.ndarray) -> None:
+    lines = ["t_s,rr_fps"] + [f"{t!r},{rr!r}" for t, rr in instantaneous_rr(kept_times)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -416,18 +399,13 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
             values["tre_formula"] = exp["tre_formula"]
         if "out_dir" in exp:
             values["output_dir"] = exp["out_dir"]
-        thresholds = Thresholds(
-            delta_tve=float(thr.get("delta_tve", Thresholds.delta_tve)),
-            delta_fe=float(thr.get("delta_fe", Thresholds.delta_fe)),
-            delta_rfe=float(thr.get("delta_rfe", Thresholds.delta_rfe)),
-        )
+        thresholds = Thresholds(**{f.name: float(thr.get(f.name, f.default))
+                                   for f in fields(Thresholds)})
     except (ValueError, InvalidInputError, configparser.Error) as exc:
         raise ConfigError(f"bad value in config {path}: {exc}") from exc
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    threshold_overrides = {
-        k: overrides.pop(k) for k in ("delta_tve", "delta_fe", "delta_rfe")
-        if k in overrides
-    }
+    threshold_overrides = {f.name: overrides.pop(f.name) for f in fields(Thresholds)
+                           if f.name in overrides}
     if threshold_overrides:
         thresholds = replace(thresholds, **threshold_overrides)
     values["thresholds"] = thresholds

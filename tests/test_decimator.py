@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmustream.decimator import (
@@ -15,9 +15,9 @@ from pmustream.decimator import (
     DecisionRecord,
     Decimator,
     Thresholds,
+    _deviations,
     decide,
     decimate_stream,
-    epsilon,
     predict,
     reconstruct,
 )
@@ -74,6 +74,11 @@ def offline_keep_indices(triplets, thresholds, f0) -> list[int]:
         if found is None:
             return kept
         kept.append(found)
+
+
+def epsilon(last_kept, incoming, thresholds, f0) -> np.ndarray:
+    """Normalized deviation vector between prediction and incoming triplet."""
+    return np.array(_deviations(last_kept, incoming, thresholds, f0))
 
 
 def oracle_decide(last_kept, incoming, thresholds, f0):
@@ -456,3 +461,76 @@ class TestDecideMatchesOracle:
             assert_same_record(batch, want)
         assert kept.tolist() == [h for h, r in enumerate(streamed) if r.kept]
         assert kept.tolist() == offline_keep_indices(stream, thresholds, F0)
+
+
+# ------------------------------------------- reconstruct vs a scalar oracle
+
+def reconstruct_oracle(stream, kept, queries, ts):
+    """Per query: the latest kept triplet at or before ``t + ts/2``, verbatim
+    unless ``t`` lies more than ``ts/2`` past it, else ``predict`` from it."""
+    tol = ts / 2.0
+    rows = []
+    for t in queries:
+        base = None
+        for i in kept:
+            if stream[i].t <= t + tol:
+                base = stream[i]
+        if t - base.t <= tol:
+            rows.append(((base.phasor, base.frequency, base.rocof), True))
+        else:
+            rows.append((predict(base, t - base.t, F0), False))
+    return rows
+
+
+@st.composite
+def reconstruct_cases(draw):
+    """A report stream on a 100 fps grid of ``r`` samples per report, a kept
+    subset holding report 0, and query times of one of four kinds."""
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(1, 40))
+    fs = 100.0 * r
+    ts = 1.0 / fs
+    noisy = noisy_stream(draw(st.integers(0, 2 ** 32 - 1)), n, draw(st.floats(0.0, 1e-2)))
+    # report h at (h*r)/fs, as run_estimator places it
+    stream = [triplet(h * r / fs, m.phasor, m.frequency, m.rocof) for h, m in enumerate(noisy)]
+    kept = sorted({0} | set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
+    kind = draw(st.sampled_from(["refinement", "criterion_4", "near_kept", "arbitrary"]))
+    if kind == "refinement":  # every report instant is a grid row
+        queries = np.arange((n - 1) * r + 1) / fs
+    elif kind == "criterion_4":  # accumulated offsets, ending one sample short
+        queries = stream[0].t + np.arange(max(1, (n - 1) * r)) * ts
+    elif kind == "near_kept":  # within ts/2 of a kept instant, both ends included
+        offsets = st.one_of(st.sampled_from([-1.0, 1.0, 0.0]), st.floats(-1.0, 1.0))
+        picks = draw(st.lists(st.tuples(st.sampled_from(kept), offsets), min_size=1,
+                              max_size=50))
+        queries = np.array([max(stream[i].t + u * (ts / 2.0), 0.0) for i, u in picks])
+    else:  # unordered, off every grid, past the last report too
+        queries = np.array(draw(st.lists(st.floats(0.0, n * 0.01 + 0.05), min_size=1,
+                                         max_size=50)))
+    return stream, kept, queries, ts
+
+
+class TestReconstructMatchesOracle:
+    @settings(max_examples=150)
+    @given(case=reconstruct_cases())
+    def test_kept_rows_exact_and_predictions_within_1e12(self, case):
+        stream, kept, queries, ts = case
+        out = reconstruct(TripletSeries.from_triplets(stream), kept, queries, F0, ts)
+        for i, ((phasor, freq, rocof), exact) in enumerate(
+                reconstruct_oracle(stream, kept, queries.tolist(), ts)):
+            if exact:
+                assert (out.phasor[i], out.frequency[i], out.rocof[i]) == (phasor, freq, rocof)
+            else:
+                assert abs(out.phasor[i] - phasor) <= 1e-12 * abs(phasor)
+                assert abs(out.frequency[i] - freq) <= 1e-12 * abs(freq)
+                assert out.rocof[i] == rocof
+
+    def test_half_sample_boundaries(self):
+        # 0.015 + 0.005 rounds to 0.02 but 0.015 - 0.02 falls below -0.005:
+        # the kept row at 0.02 is served, not predicted back from
+        stream = noisy_stream(5, 4, 1e-3)
+        queries = [0.02, 0.015, 0.0049, 0.0051]
+        oracle = reconstruct_oracle(stream, [0, 2], queries, ts=0.01)
+        assert [exact for _, exact in oracle] == [True, True, True, False]
+        out = reconstruct(TripletSeries.from_triplets(stream), [0, 2], queries, F0, ts=0.01)
+        assert out.phasor[1] == stream[2].phasor and out.frequency[1] == stream[2].frequency

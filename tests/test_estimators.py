@@ -517,6 +517,27 @@ class TestRunEstimator:
         with pytest.raises(InvalidInputError):
             run_estimator(EstimatorKind("i_ipdft"), gt, CFG, 0.0, 1.0)
 
+    @pytest.mark.parametrize("algorithm", ["p_iec", "i_ipdft"])
+    def test_block_sampling_rate_must_match_config(self, algorithm):
+        # read as 10 kHz samples, a 50 Hz signal sampled at 8 kHz reports 62.5 Hz
+        gt = GroundTruth.from_anchors(series((0.0, 230.0), (3.0, 230.0)),
+                                      series((0.0, 50.0), (3.0, 50.0)), fs=8_000.0)
+        block = synth_three_phase(gt, 0.0, 24_001)
+        kind = EstimatorKind(algorithm)
+        for call in (lambda: kind.estimate(block, CFG, 1.0),
+                     lambda: run_estimator(kind, block, CFG, 1.0, 1.2),
+                     lambda: run_estimator(kind, gt, CFG, 1.0, 1.2)):
+            with pytest.raises(InvalidInputError, match="block at 8000.0 Hz"):
+                call()
+
+    def test_failure_names_report_time_and_keeps_type(self):
+        # 0 V from 1.0 s: the first report whose current window is all zero
+        gt = GroundTruth.from_anchors(series((0.0, 230.0), (0.9, 230.0), (1.0, 0.0), (3.0, 0.0)),
+                                      series((0.0, 50.0), (3.0, 50.0)))
+        with pytest.raises(DegenerateSignalError, match=r"^report at t = 1\.03 s: "
+                                                        r"fundamental bin below the noise floor$"):
+            run_estimator(EstimatorKind("i_ipdft"), gt, CFG, 0.5, 2.0)
+
 
 # ------------------------------------------------------- module invariants
 

@@ -60,6 +60,20 @@ frequency_Hz,0.0,50.0
 frequency_Hz,2.0,49.9
 """
 
+# 8 s at 50 Hz with 0 V from 5.0 to 5.3 s
+DIP = """quantity,t_s,value
+amplitude_V,0,230
+amplitude_V,4.9,230
+amplitude_V,5.0,0
+amplitude_V,5.3,0
+amplitude_V,5.4,230
+amplitude_V,8,230
+frequency_Hz,0,50
+frequency_Hz,8,50
+"""
+
+HUGE_DIVISOR = "1" + "0" * 400  # too large for a float rate
+
 
 # ------------------------------------------------------------ parse_profile
 
@@ -338,9 +352,16 @@ class TestRunExperiment:
             run_experiment(config)
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
-        for bad in ((2.5,), (0,), (0.0,), (-2,), (float("nan"),), (float("inf"),), ("2",)):
+        for bad in ((2.5,), (0,), (0.0,), (-2,), (float("nan"),), (float("inf"),), ("2",),
+                    (int(HUGE_DIVISOR),)):
             with pytest.raises(ConfigError):
                 ExperimentConfig(profile_path="ramp_amplitude_modulation", fixed_baselines=bad)
+
+    def test_config_owns_mode_list(self):
+        config = ExperimentConfig(profile_path="steady_nominal", fixed_baselines=(20, 2, 1, 2))
+        assert config.modes == (("100fps", 1), ("50fps", 2), ("5fps", 20), ("adaptive", None))
+        with pytest.raises(TypeError):
+            ExperimentConfig(profile_path="steady_nominal", modes=())
 
     def test_reference_evaluated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -372,7 +393,7 @@ class TestEmitTable:
             output_dir=str(tmp_path / "out"),
         )
         reports = run_experiment(config)
-        csv_text, _ = emit_table(list(reports.values()), config)
+        csv_text, _ = emit_table(reports, config)
         data_rows = csv_text.strip().splitlines()[1:]
         assert len(data_rows) == 7  # 3 indices x 2 modes + compression ratio
 
@@ -383,7 +404,7 @@ class TestEmitTable:
             output_dir=str(tmp_path / "out"),
         )
         reports = run_experiment(config)
-        _, human = emit_table(list(reports.values()), config)
+        _, human = emit_table(reports, config)
         header = human.splitlines()[0]
         assert "p_iec" in header and "i_ipdft" in header
 
@@ -479,6 +500,35 @@ class TestCli:
             "run", "--profile", str(dead), "--out", str(tmp_path / "o"),
         ])
         assert result.exit_code == 3
+
+    def test_numerical_failure_names_algorithm_and_time(self, tmp_path):
+        # p_iec estimates through the dip, then scoring meets the zero
+        # reference; i_ipdft fails at its first all-zero window
+        dip = write_profile(tmp_path, DIP, name="dip.csv")
+        scoring = ("p_iec 100fps: tracking index undefined where |reference phasor| = 0, "
+                   "first at t = 5.0 s")
+        expected = {
+            (): scoring,
+            ("--algo", "p_iec"): scoring,
+            ("--algo", "i_ipdft"):
+                "i_ipdft: report at t = 5.03 s: fundamental bin below the noise floor",
+        }
+        for flags, message in expected.items():
+            result = CliRunner().invoke(cli_main, [
+                "run", "--profile", str(dip), *flags, "--out", str(tmp_path / "o"),
+            ])
+            assert result.exit_code == 3, (flags, result.output)
+            assert result.output.splitlines()[-1] == f"error: numerical failure: {message}"
+
+    def test_divisor_too_large_for_a_rate_exit_2(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nprofile = steady_nominal\n"
+                       f"fixed_baselines = {HUGE_DIVISOR}\n", encoding="utf-8")
+        for argv in (["--profile", "steady_nominal", "--algo", "p_iec", "--fixed", HUGE_DIVISOR],
+                     ["--config", str(ini)]):
+            result = CliRunner().invoke(cli_main, ["run", *argv, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, (argv, result.output)
+            assert result.output.startswith("error: fixed baseline divisor too large")
 
     def test_run_with_config_file(self, tmp_path):
         ini = tmp_path / "exp.ini"
