@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSignalError, InvalidInputError, PmuStreamError, with_context
+from .errors import (DegenerateSignalError, DomainError, InvalidInputError, PmuStreamError,
+                     with_context)
 from .waveform import GRID_ALIGN_TOL, GroundTruth, SampleBlock, SQRT2, synth_three_phase
 
 ALGORITHMS = ("p_iec", "i_ipdft")
@@ -147,9 +148,14 @@ def _check_frequency(freq: float, config: EstimatorConfig) -> None:
             f"frequency estimate {freq} Hz outside (0, {2 * config.f0}) Hz")
 
 
+def _check_rate(source: GroundTruth | SampleBlock, fs: float) -> None:
+    if source.fs != fs:
+        raise InvalidInputError(
+            f"sample block at {source.fs} Hz, estimator configured for {fs} Hz")
+
+
 def _report_index(block: SampleBlock, fs: float, t_report: float) -> int:
-    if block.fs != fs:
-        raise InvalidInputError(f"sample block at {block.fs} Hz, estimator configured for {fs} Hz")
+    _check_rate(block, fs)
     pos = t_report * fs
     n = round(pos)
     if abs(pos - n) > GRID_ALIGN_TOL:
@@ -349,6 +355,7 @@ def run_estimator(
     those margins.
     """
     fs = config.fs
+    _check_rate(source, fs)
     n_start = round(t_start * fs)
     n_end = round(t_end * fs)
     if abs(t_start * fs - n_start) > GRID_ALIGN_TOL or abs(t_end * fs - n_end) > GRID_ALIGN_TOL:
@@ -363,7 +370,7 @@ def run_estimator(
         count = (n_end + right) - first + 1
         try:
             block = synth_three_phase(source, first / fs, count)
-        except Exception as exc:
+        except DomainError as exc:
             raise InvalidInputError(
                 "time range (plus estimator window margins) exceeds the signal domain"
             ) from exc

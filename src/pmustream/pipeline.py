@@ -16,17 +16,15 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .decimator import DecisionRecord, Thresholds, decimate_stream, reconstruct
+from .decimator import Thresholds, decimate_stream, reconstruct
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError, with_context
 from .estimators import (
     ALGORITHMS,
     EstimatorConfig,
     EstimatorKind,
-    MeasurementTriplet,
     TripletSeries,
     run_estimator,
 )
@@ -63,6 +61,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
+        object.__setattr__(self, "algorithms", tuple(dict.fromkeys(self.algorithms)))
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")
@@ -77,12 +76,18 @@ class ExperimentConfig:
                    for d in self.fixed_baselines):
             raise ConfigError("fixed baselines must be positive integer divisors")
         object.__setattr__(self, "fixed_baselines", tuple(int(d) for d in self.fixed_baselines))
-        divisors = [1] + sorted(set(self.fixed_baselines) - {1})
-        try:
-            modes = tuple((f"{self.rr_in / d:g}fps", d) for d in divisors)
-        except OverflowError as exc:
-            raise ConfigError(f"fixed baseline divisor too large: {exc}") from exc
-        object.__setattr__(self, "modes", modes + (("adaptive", None),))
+        modes: dict[str, int | None] = {}
+        for d in [1] + sorted(set(self.fixed_baselines) - {1}):
+            try:
+                label = f"{self.rr_in / d:g}fps"
+            except OverflowError as exc:
+                raise ConfigError(f"fixed baseline divisor too large: {exc}") from exc
+            if label in modes:
+                raise ConfigError(f"fixed baseline divisors {modes[label]} and {d} "
+                                  f"share the mode label {label!r}")
+            modes[label] = d
+        modes["adaptive"] = None
+        object.__setattr__(self, "modes", tuple(modes.items()))
 
     @property
     def estimator_config(self) -> EstimatorConfig:
@@ -233,12 +238,12 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
                              kept * est.r)  # report k sits on grid row k*r
 
-        _write_kept_jsonl(out_dir / f"kept_{name}_adaptive.jsonl", triplets, records,
-                          adaptive_kept)
-        _write_instantaneous_rr(out_dir / f"instantaneous_rr_{name}_adaptive.csv",
-                                stream.t[adaptive_kept])
+        _write_frames(out_dir / f"kept_{name}_adaptive.jsonl", stream, records, adaptive_kept)
+        _write_csv(out_dir / f"instantaneous_rr_{name}_adaptive.csv", "t_s,rr_fps",
+                   [instantaneous_rr(stream.t[adaptive_kept])])
         if config.emit_decisions:
-            _write_decision_log(out_dir / f"decisions_{name}_adaptive.jsonl", triplets, records)
+            _write_frames(out_dir / f"decisions_{name}_adaptive.jsonl", stream, records,
+                          np.arange(total), decisions=True)
 
     csv_text, human_text = emit_table(reports, config)
     (out_dir / "table.csv").write_text(csv_text, encoding="utf-8")
@@ -306,43 +311,31 @@ def _summary_json(config: ExperimentConfig,
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _finite_or_none(value: float) -> float | None:
-    return float(value) if math.isfinite(value) else None
-
-
-def _kept_payload(m: MeasurementTriplet, binding: str) -> dict:
-    return {
-        "t": m.t,
-        "re": m.phasor.real,
-        "im": m.phasor.imag,
-        "f": m.frequency,
-        "rocof": m.rocof,
-        "binding": binding,
-    }
-
-
-def _write_kept_jsonl(path: Path, triplets: Sequence[MeasurementTriplet],
-                      records: Sequence[DecisionRecord], kept: np.ndarray) -> None:
-    lines = [json.dumps(_kept_payload(triplets[i], records[i].binding_quantity),
-                        allow_nan=False) for i in kept]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_decision_log(path: Path, triplets: Sequence[MeasurementTriplet],
-                        records: Sequence[DecisionRecord]) -> None:
+def _write_frames(path: Path, stream: TripletSeries, records: list, rows: np.ndarray,
+                  decisions: bool = False) -> None:
+    """JSON lines of the frames ``rows`` of ``stream``: the triplet and the
+    binding quantity, plus ``kept`` and ``eps`` (non-finite as null) for the
+    decision log."""
+    columns = (stream.t, stream.phasor.real, stream.phasor.imag, stream.frequency, stream.rocof)
     lines = []
-    for m, rec in zip(triplets, records):
-        payload = _kept_payload(m, rec.binding_quantity)
-        payload["kept"] = rec.kept
-        payload["eps"] = (None if rec.epsilon is None
-                          else [_finite_or_none(e) for e in rec.epsilon])
-        lines.append(json.dumps(payload, allow_nan=False))
+    for i, t, re, im, f, rocof in zip(rows.tolist(), *(c[rows].tolist() for c in columns)):
+        rec = records[i]
+        frame = dict(t=t, re=re, im=im, f=f, rocof=rocof, binding=rec.binding_quantity)
+        if decisions:
+            frame["kept"] = rec.kept
+            frame["eps"] = (None if rec.epsilon is None else
+                            [e if math.isfinite(e) else None for e in rec.epsilon.tolist()])
+        lines.append(json.dumps(frame, allow_nan=False))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_instantaneous_rr(path: Path, kept_times: np.ndarray) -> None:
-    lines = ["t_s,rr_fps"] + [f"{t!r},{rr!r}" for t, rr in instantaneous_rr(kept_times)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, chunks) -> None:
+    """CSV of ``header`` and the rows of each chunk; a cell is the repr of a
+    Python float or int, the shortest text that reads back to the same value."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for rows in chunks:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
@@ -352,13 +345,10 @@ def _write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
     columns = (series.t, reference.phasor.real, reference.phasor.imag, reference.frequency,
                reference.rocof, series.phasor.real, series.phasor.imag,
                series.frequency, series.rocof, kept_flag)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept\n")
-        # repr of a Python float is the shortest round-trip text; rows go out in
-        # chunks so the Python objects of a long trace never exist all at once
-        for lo in range(0, series.t.size, TRACE_CHUNK_ROWS):
-            chunk = (c[lo:lo + TRACE_CHUNK_ROWS].tolist() for c in columns)
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*chunk))
+    header = "t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept"
+    step = TRACE_CHUNK_ROWS  # chunks: a long trace's Python floats never exist all at once
+    _write_csv(path, header, (zip(*(c[lo:lo + step].tolist() for c in columns))
+                              for lo in range(0, series.t.size, step)))
 
 
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:

@@ -526,7 +526,8 @@ class TestRunEstimator:
         kind = EstimatorKind(algorithm)
         for call in (lambda: kind.estimate(block, CFG, 1.0),
                      lambda: run_estimator(kind, block, CFG, 1.0, 1.2),
-                     lambda: run_estimator(kind, gt, CFG, 1.0, 1.2)):
+                     lambda: run_estimator(kind, gt, CFG, 1.0, 1.2),
+                     lambda: run_estimator(kind, gt, CFG, 1.0003, 1.2)):
             with pytest.raises(InvalidInputError, match="block at 8000.0 Hz"):
                 call()
 

@@ -17,7 +17,7 @@ from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, ProfileError
 from pmustream.estimators import TripletSeries, run_estimator
-from pmustream.metrics import tracking_indices
+from pmustream.metrics import instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
     emit_table,
@@ -335,6 +335,26 @@ class TestRunExperiment:
         np.testing.assert_array_equal(np.flatnonzero(fixed_cols[-1]),
                                       np.arange(0, len(triplets), 10) * est.r)
 
+    def test_frame_logs_agree_with_decisions(self, tmp_path):
+        # the kept log is the decision log's kept lines without kept/eps, and
+        # the RR file reads back to the instantaneous rate of the kept times
+        out = tmp_path / "logs"
+        config = ExperimentConfig(profile_path="abrupt_collapse", output_dir=str(out),
+                                  emit_decisions=True)
+        run_experiment(config)
+        for algo in config.algorithms:
+            decisions = [json.loads(line) for line in
+                         (out / f"decisions_{algo}_adaptive.jsonl").read_text().splitlines()]
+            kept = [{k: v for k, v in d.items() if k not in ("kept", "eps")}
+                    for d in decisions if d["kept"]]
+            kept_lines = (out / f"kept_{algo}_adaptive.jsonl").read_text().splitlines()
+            assert kept_lines == [json.dumps(d, allow_nan=False) for d in kept]
+            with (out / f"instantaneous_rr_{algo}_adaptive.csv").open(encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["t_s", "rr_fps"]
+            assert [(float(t), float(rr)) for t, rr in rows[1:]] == \
+                instantaneous_rr([d["t"] for d in kept])
+
     def test_float_divisors_normalised(self, tmp_path):
         outputs = []
         for divisors in ((2,), (2.0,)):
@@ -529,6 +549,31 @@ class TestCli:
             result = CliRunner().invoke(cli_main, ["run", *argv, "--out", str(tmp_path / "o")])
             assert result.exit_code == 2, (argv, result.output)
             assert result.output.startswith("error: fixed baseline divisor too large")
+
+    def test_repeated_algorithm_runs_once(self, tmp_path):
+        config = ExperimentConfig(profile_path="steady_nominal", algorithms=("p_iec", "p_iec"))
+        assert config.algorithms == ("p_iec",)
+        outputs = []
+        for algos in (["--algo", "p_iec"], ["--algo", "p_iec", "--algo", "p_iec"]):
+            out = tmp_path / f"o{len(outputs)}"
+            result = CliRunner().invoke(cli_main, [
+                "run", "--profile", "steady_nominal", *algos, "--fixed", "2",
+                "--emit-decisions", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_divisors_sharing_a_label_exit_2(self, tmp_path):
+        # 100/1e7 and 100/(1e7+1) both print as "1e-05fps"
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nprofile = steady_nominal\n"
+                       "fixed_baselines = 10000000, 10000001\n", encoding="utf-8")
+        for argv in (["--profile", "steady_nominal", "--fixed", "10000000,10000001"],
+                     ["--config", str(ini)]):
+            result = CliRunner().invoke(cli_main, ["run", *argv, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, (argv, result.output)
+            assert result.output.startswith("error: fixed baseline divisors 10000000 and "
+                                            "10000001 share the mode label '1e-05fps'")
 
     def test_run_with_config_file(self, tmp_path):
         ini = tmp_path / "exp.ini"
