@@ -83,12 +83,10 @@ def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
     table = Path(config.output_dir) / "table.txt"
     click.echo(table.read_text(encoding="utf-8").rstrip())
     click.echo(f"\nartifacts written to {config.output_dir}")
-    adaptive = [r for r in reports.values() if r.rr_mode == "adaptive"]
-    for report in adaptive:
-        click.echo(
-            f"{report.algorithm}: kept {report.kept_count}/{report.total_count} "
-            f"frames (compression ratio {report.compression_ratio:.2f})"
-        )
+    for (algo, mode), report in reports.items():
+        if mode == "adaptive":
+            click.echo(f"{algo}: kept {report.kept_count}/{report.total_count} "
+                       f"frames (compression ratio {report.compression_ratio:.2f})")
 
 
 @main.command()

@@ -150,7 +150,7 @@ def reconstruct(
     if kept.size == 0:
         raise InvalidInputError("need at least one kept triplet")
     kt = series.t[kept]
-    if np.any(np.diff(kt) <= 0):
+    if np.any(kt[1:] <= kt[:-1]):
         raise SequencingError("kept triplets must be strictly time-ordered")
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     tol = ts / 2.0

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (DegenerateSignalError, DomainError, InvalidInputError, PmuStreamError,
-                     with_context)
-from .waveform import GRID_ALIGN_TOL, GroundTruth, SampleBlock, SQRT2, synth_three_phase
+from .errors import DegenerateSignalError, InvalidInputError, PmuStreamError, with_context
+from .waveform import GroundTruth, SampleBlock, SQRT2, grid_index, synth_three_phase
 
 ALGORITHMS = ("p_iec", "i_ipdft")
 ALPHA = cmath.exp(2j * math.pi / 3)
@@ -77,28 +77,21 @@ class EstimatorConfig:
     f0: float = 50.0
     fs: float = 10_000.0
     internal_rate: float = 100.0
+    # derived: samples per nominal cycle and per internal reporting interval
+    m: int = field(init=False)
+    r: int = field(init=False)
 
     def __post_init__(self):
         for name, value in (("f0", self.f0), ("fs", self.fs),
                             ("internal_rate", self.internal_rate)):
             if not (math.isfinite(value) and value > 0):
                 raise InvalidInputError(f"{name} must be finite and strictly positive")
-        m = self.fs / self.f0
-        if abs(m - round(m)) > 1e-9:
-            raise InvalidInputError("fs must be an integer multiple of f0")
-        r = self.fs / self.internal_rate
-        if abs(r - round(r)) > 1e-9:
-            raise InvalidInputError("internal_rate must divide fs evenly")
-
-    @property
-    def m(self) -> int:
-        """Samples per nominal cycle."""
-        return round(self.fs / self.f0)
-
-    @property
-    def r(self) -> int:
-        """Samples per internal reporting interval."""
-        return round(self.fs / self.internal_rate)
+        for attr, name, rate in (("m", "f0", self.f0), ("r", "internal_rate", self.internal_rate)):
+            ratio = self.fs / rate  # inf when the quotient overflows
+            n = round(ratio) if math.isfinite(ratio) else 0
+            if n < 1 or abs(ratio - n) > 1e-9:
+                raise InvalidInputError(f"fs must be a whole multiple of {name}")
+            object.__setattr__(self, attr, n)
 
     @property
     def ts(self) -> float:
@@ -115,8 +108,9 @@ class EstimatorKind:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidInputError(f"unknown estimator algorithm {self.algorithm!r}")
-        if self.ipdft_iterations < 0:
-            raise InvalidInputError("iteration count must be >= 0")
+        n = self.ipdft_iterations
+        if not (isinstance(n, numbers.Integral) and n >= 0):
+            raise InvalidInputError(f"ipdft_iterations must be an integer >= 0, got {n!r}")
 
     def left_margin(self, config: EstimatorConfig) -> int:
         """Samples needed before a reporting instant."""
@@ -156,11 +150,7 @@ def _check_rate(source: GroundTruth | SampleBlock, fs: float) -> None:
 
 def _report_index(block: SampleBlock, fs: float, t_report: float) -> int:
     _check_rate(block, fs)
-    pos = t_report * fs
-    n = round(pos)
-    if abs(pos - n) > GRID_ALIGN_TOL:
-        raise InvalidInputError(f"reporting instant {t_report} is not on the sampling grid")
-    return n - block.start_index
+    return grid_index(t_report, fs) - block.start_index
 
 
 @lru_cache(maxsize=8)
@@ -356,28 +346,19 @@ def run_estimator(
     """
     fs = config.fs
     _check_rate(source, fs)
-    n_start = round(t_start * fs)
-    n_end = round(t_end * fs)
-    if abs(t_start * fs - n_start) > GRID_ALIGN_TOL or abs(t_end * fs - n_end) > GRID_ALIGN_TOL:
-        raise InvalidInputError("t_start and t_end must lie on the sampling grid")
+    n_start = grid_index(t_start, fs)
+    n_end = grid_index(t_end, fs)
     if n_end < n_start:
         raise InvalidInputError("t_end must not precede t_start")
 
-    left = kind.left_margin(config)
-    right = kind.right_margin(config)
-    if isinstance(source, GroundTruth):
-        first = n_start - left
-        count = (n_end + right) - first + 1
-        try:
-            block = synth_three_phase(source, first / fs, count)
-        except DomainError as exc:
-            raise InvalidInputError(
-                "time range (plus estimator window margins) exceeds the signal domain"
-            ) from exc
-    else:
-        block = source
-        if n_start - left < block.start_index or n_end + right >= block.start_index + block.n:
-            raise InvalidInputError("sample block does not cover the estimator windows")
+    first = n_start - kind.left_margin(config)
+    last = n_end + kind.right_margin(config)
+    n_lo, n_hi = source.sample_span
+    if first < n_lo or last > n_hi:
+        raise InvalidInputError(f"the estimator windows need samples [{first}, {last}], "
+                                f"the source has [{n_lo}, {n_hi}]")
+    block = (synth_three_phase(source, first / fs, last - first + 1)
+             if isinstance(source, GroundTruth) else source)
 
     triplets = []
     try:

@@ -62,10 +62,9 @@ def instantaneous_rr(kept_times) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class TrackingReport:
-    """Scores for one (algorithm, reporting mode) combination."""
+    """Scores for one (algorithm, reporting mode) combination; the key of its
+    entry in a ``reports`` dict names the combination."""
 
-    algorithm: str
-    rr_mode: str
     tre_tve: float                       # percent
     tre_fe: float                        # mHz
     tre_rfe: float                       # Hz/s

@@ -54,23 +54,25 @@ class ExperimentConfig:
     ipdft_iterations: int = 3
     emit_decisions: bool = False
     emit_traces: bool = False
-    # reporting modes as (label, divisor) in table order: full rate, the fixed
-    # divisors ascending, then adaptive (divisor None); derived, not settable
+    # derived, not settable: the estimators' sampling geometry, and the
+    # reporting modes as (label, divisor) in table order: full rate, the
+    # fixed divisors ascending, then adaptive (divisor None)
+    estimator_config: EstimatorConfig = field(init=False)
     modes: tuple[tuple[str, int | None], ...] = field(init=False)
 
     def __post_init__(self):
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         object.__setattr__(self, "algorithms", tuple(dict.fromkeys(self.algorithms)))
-        for name in self.algorithms:
-            if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}")
         if self.tre_formula not in TRE_FORMULAS:
             raise ConfigError(f"tre_formula must be one of {TRE_FORMULAS}")
-        try:
-            self.estimator_config  # EstimatorConfig validates the sampling geometry
+        try:  # the estimator types validate their own parameters
+            for name in self.algorithms:
+                self.kind(name)
+            est = EstimatorConfig(f0=self.f0, fs=self.fs, internal_rate=self.rr_in)
         except InvalidInputError as exc:
-            raise ConfigError(f"invalid f0/fs/rr_in geometry: {exc}") from exc
+            raise ConfigError(f"invalid estimator setup: {exc}") from exc
+        object.__setattr__(self, "estimator_config", est)
         if not all(isinstance(d, numbers.Real) and d >= 1
                    and (isinstance(d, numbers.Integral) or float(d).is_integer())
                    for d in self.fixed_baselines):
@@ -88,10 +90,6 @@ class ExperimentConfig:
             modes[label] = d
         modes["adaptive"] = None
         object.__setattr__(self, "modes", tuple(modes.items()))
-
-    @property
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(f0=self.f0, fs=self.fs, internal_rate=self.rr_in)
 
     def kind(self, algorithm: str) -> EstimatorKind:
         return EstimatorKind(algorithm, ipdft_iterations=self.ipdft_iterations)
@@ -189,9 +187,7 @@ def evaluation_window(config: ExperimentConfig, gt: GroundTruth) -> tuple[int, i
     est = config.estimator_config
     left = max(config.kind(a).left_margin(est) for a in config.algorithms)
     right = max(config.kind(a).right_margin(est) for a in config.algorithms)
-    lo, hi = gt.domain
-    n_lo = math.ceil(lo * config.fs - 1e-9)
-    n_hi = math.floor(hi * config.fs + 1e-9)
+    n_lo, n_hi = gt.sample_span
     r = est.r
     n_first = math.ceil((n_lo + left) / r) * r
     n_last = n_first + ((n_hi - right - n_first) // r) * r
@@ -233,7 +229,7 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 tre = tracking_indices(series, reference, config.tre_formula)
             except (PmuStreamError, ArithmeticError) as exc:
                 raise with_context(exc, f"{name} {mode}")
-            reports[(name, mode)] = TrackingReport(name, mode, *tre, kept.size, total)
+            reports[(name, mode)] = TrackingReport(*tre, kept.size, total)
             if config.emit_traces:
                 _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
                              kept * est.r)  # report k sits on grid row k*r
@@ -269,9 +265,8 @@ def emit_table(reports: dict[tuple[str, str], TrackingReport],
         for mode in modes:
             for algo in algorithms:
                 csv_lines.append(f"{label},{mode},{algo},{getter(reports[(algo, mode)])!r}")
-    for report in adaptive:
-        csv_lines.append(
-            f"compression_ratio,adaptive,{report.algorithm},{report.compression_ratio!r}")
+    for algo, report in zip(algorithms, adaptive):
+        csv_lines.append(f"compression_ratio,adaptive,{algo},{report.compression_ratio!r}")
 
     width = 14
     header = f"{'Index':<16}{'RR':<12}" + "".join(f"{a:>{width}}" for a in algorithms)

@@ -27,6 +27,15 @@ GRID_ALIGN_TOL = 1e-6
 SYNTH_CHUNK = 32_768  # samples synthesized per slice
 
 
+def grid_index(t: float, fs: float) -> int:
+    """Index ``n`` of the sample instant ``n / fs`` that ``t`` names; ``t`` may
+    be off it by at most ``GRID_ALIGN_TOL`` sample periods."""
+    n = round(t * fs)
+    if abs(t * fs - n) > GRID_ALIGN_TOL:
+        raise InvalidInputError(f"time {t} s does not lie on the 1/{fs} s sampling grid")
+    return n
+
+
 @dataclass(frozen=True)
 class AnchorSeries:
     """Ordered (time, value) anchor points for one measured quantity."""
@@ -43,7 +52,7 @@ class AnchorSeries:
             raise InvalidInputError("an anchor series needs at least 2 points")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise InvalidInputError("anchor times and values must be finite")
-        if np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):
             raise InvalidInputError("anchor times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -76,7 +85,7 @@ class PiecewisePoly:
             raise InvalidInputError("need at least one polynomial piece")
         if co.ndim != 2 or co.shape[0] != bp.size - 1:
             raise InvalidInputError("coefficient rows must match interval count")
-        if np.any(np.diff(bp) <= 0):
+        if np.any(bp[1:] <= bp[:-1]):
             raise InvalidInputError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", co)
@@ -250,6 +259,22 @@ class GroundTruth:
     def domain(self) -> tuple[float, float]:
         return self.frequency.domain
 
+    @property
+    def sample_span(self) -> tuple[int, int]:
+        """Smallest n with ``n / fs >= lo`` and largest n with ``n / fs <= hi``
+        for the domain [lo, hi].  Rounding can put ``ceil(lo * fs)`` and
+        ``floor(hi * fs)`` one sample off (for edges below 2**51 samples); one
+        step each way settles each end on that float comparison itself."""
+        lo, hi = self.domain
+        fs = self.fs
+        n_lo = math.ceil(lo * fs)
+        n_lo -= (n_lo - 1) / fs >= lo
+        n_lo += n_lo / fs < lo
+        n_hi = math.floor(hi * fs)
+        n_hi += (n_hi + 1) / fs <= hi
+        n_hi -= n_hi / fs > hi
+        return n_lo, n_hi
+
     @classmethod
     def from_anchors(
         cls,
@@ -303,6 +328,11 @@ class SampleBlock:
     def n(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def sample_span(self) -> tuple[int, int]:
+        """First and last absolute sample index held."""
+        return self.start_index, self.start_index + self.n - 1
+
 
 def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
     """Synthesize ``n`` balanced three-phase samples starting at ``t0``.
@@ -312,15 +342,11 @@ def synth_three_phase(gt: GroundTruth, t0: float, n: int) -> SampleBlock:
     """
     if n < 1:
         raise InvalidInputError("need at least one sample")
-    n0 = round(t0 * gt.fs)
-    if abs(t0 * gt.fs - n0) > GRID_ALIGN_TOL:
-        raise InvalidInputError(f"t0={t0} does not lie on the 1/{gt.fs} s sampling grid")
-    lo, hi = gt.domain
-    t_first, t_last = n0 / gt.fs, (n0 + n - 1) / gt.fs
-    if t_first < lo or t_last > hi:
-        raise DomainError(
-            f"samples [{t_first}, {t_last}] exceed the ground-truth domain [{lo}, {hi}]"
-        )
+    n0 = grid_index(t0, gt.fs)
+    n_lo, n_hi = gt.sample_span
+    if n0 < n_lo or n0 + n - 1 > n_hi:
+        raise DomainError(f"samples [{n0 / gt.fs}, {(n0 + n - 1) / gt.fs}] exceed "
+                          f"the ground-truth domain {list(gt.domain)}")
     phases = np.empty((3, n))
     # synthesis is pointwise: slices bound the temporaries to O(SYNTH_CHUNK)
     for start in range(0, n, SYNTH_CHUNK):

@@ -531,6 +531,23 @@ class TestRunEstimator:
             with pytest.raises(InvalidInputError, match="block at 8000.0 Hz"):
                 call()
 
+    @pytest.mark.parametrize("algorithm", ["p_iec", "i_ipdft"])
+    def test_one_coverage_rule_for_model_and_block(self, algorithm):
+        # both sources admit exactly the reports whose windows they hold
+        kind = EstimatorKind(algorithm)
+        gt = steady_gt(span=1.0)
+        n_lo, n_hi = gt.sample_span
+        block = synth_three_phase(gt, 0.0, n_hi - n_lo + 1)
+        assert block.sample_span == (n_lo, n_hi)
+        first, last = kind.left_margin(CFG), n_hi - kind.right_margin(CFG)
+        t_first, t_last = first / CFG.fs, last / CFG.fs
+        for source in (gt, block):
+            triplets = run_estimator(kind, source, CFG, t_first, t_last)
+            assert len(triplets) == (last - first) // CFG.r + 1
+            for t_start, t_end in ((t_first - CFG.ts, t_last), (t_first, t_last + CFG.ts)):
+                with pytest.raises(InvalidInputError, match="estimator windows need samples"):
+                    run_estimator(kind, source, CFG, t_start, t_end)
+
     def test_failure_names_report_time_and_keeps_type(self):
         # 0 V from 1.0 s: the first report whose current window is all zero
         gt = GroundTruth.from_anchors(series((0.0, 230.0), (0.9, 230.0), (1.0, 0.0), (3.0, 0.0)),
@@ -625,3 +642,21 @@ class TestEstimatorInvariants:
                 EstimatorConfig(**bad)
         assert CFG.m == 200
         assert CFG.r == 100
+
+    def test_config_ratios_are_whole_and_at_least_one(self):
+        # an fs / f0 quotient that overflows used to escape as OverflowError;
+        # one below 1e-9 used to pass as M = 0 and fail later dividing by zero
+        for bad in ({"fs": 1e308, "f0": 1e-10}, {"fs": 1e308, "internal_rate": 1e-10},
+                    {"fs": 1.0, "f0": 1e300, "internal_rate": 1e300}, {"fs": 1.0, "f0": 2.0}):
+            with pytest.raises(InvalidInputError, match="whole multiple"):
+                EstimatorConfig(**bad)
+        assert EstimatorConfig(f0=50.0, fs=50.0, internal_rate=50.0).m == 1
+
+    def test_kind_validates_iteration_count(self):
+        # 2.5 used to fail in range() at the first i_ipdft report, and -1
+        # only there too
+        for algorithm in ("p_iec", "i_ipdft"):
+            for bad in (2.5, -1, "3", None):
+                with pytest.raises(InvalidInputError, match="ipdft_iterations"):
+                    EstimatorKind(algorithm, ipdft_iterations=bad)
+        assert EstimatorKind("i_ipdft", ipdft_iterations=np.int64(2)).ipdft_iterations == 2

@@ -74,6 +74,22 @@ frequency_Hz,8,50
 
 HUGE_DIVISOR = "1" + "0" * 400  # too large for a float rate
 
+# evaluation_window of every bundled profile under the default config, as the
+# earlier edge rule (ceil/floor of lo*fs -/+ 1e-9) gave it
+BUNDLED_WINDOWS = {
+    "abrupt_collapse": (400, 44700, 400, 299),
+    "forced_oscillation": (400, 1199700, 400, 299),
+    "ramp_amplitude_modulation": (400, 29700, 400, 299),
+    "steady_nominal": (400, 99700, 400, 299),
+    "step_decaying_dips": (400, 599700, 400, 299),
+    "two_stage_collapse": (400, 44700, 400, 299),
+}
+
+# span edges a rounding error off a sample instant; each used to fail
+# synthesis (exit 3) once the evaluation window reached the edge sample
+EDGE_SPANS = {"first_anchor_1e-14": (1e-14, 3.0), "last_anchor_3-1e-14": (0.0, 3.0 - 1e-14),
+              "first_anchor_0.1+0.2": (0.1 + 0.2, 3.3)}
+
 
 # ------------------------------------------------------------ parse_profile
 
@@ -383,6 +399,26 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             ExperimentConfig(profile_path="steady_nominal", modes=())
 
+    def test_config_builds_estimator_objects_once(self):
+        config = ExperimentConfig(profile_path="steady_nominal", f0=60.0, fs=12_000.0)
+        assert config.estimator_config is config.estimator_config
+        assert (config.estimator_config.m, config.estimator_config.r) == (200, 120)
+        with pytest.raises(TypeError):
+            ExperimentConfig(profile_path="steady_nominal", estimator_config=None)
+        # 2.5 used to fail as a TypeError in range() at the first i_ipdft
+        # report, and -1 only after the profile was parsed, even for p_iec
+        for bad in ({"ipdft_iterations": 2.5}, {"ipdft_iterations": -1, "algorithms": ("p_iec",)},
+                    {"algorithms": ("p_iec", "dft")}, {"fs": 1e308, "f0": 1e-10}):
+            with pytest.raises(ConfigError, match="invalid estimator setup"):
+                ExperimentConfig(profile_path="steady_nominal", **bad)
+
+    def test_evaluation_window_of_bundled_profiles(self):
+        for name, window in BUNDLED_WINDOWS.items():
+            config = ExperimentConfig(profile_path=name)
+            gt = GroundTruth.from_anchors(*parse_profile(resolve_profile(name)),
+                                          f0=config.f0, fs=config.fs)
+            assert evaluation_window(config, gt) == window, name
+
     def test_reference_evaluated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -575,6 +611,17 @@ class TestCli:
             assert result.output.startswith("error: fixed baseline divisors 10000000 and "
                                             "10000001 share the mode label '1e-05fps'")
 
+    @pytest.mark.parametrize("edge", sorted(EDGE_SPANS))
+    def test_span_edges_off_the_grid_by_rounding_run(self, tmp_path, edge):
+        lo, hi = EDGE_SPANS[edge]
+        body = "".join(f"{q},{lo!r},{v}\n{q},{hi!r},{v}\n"
+                       for q, v in (("amplitude_V", 230), ("frequency_Hz", 50)))
+        profile = write_profile(tmp_path, "quantity,t_s,value\n" + body)
+        for algos in (["--algo", "p_iec"], []):
+            result = CliRunner().invoke(cli_main, [
+                "run", "--profile", str(profile), *algos, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 0, (algos, result.output)
+
     def test_run_with_config_file(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(
@@ -666,13 +713,14 @@ class TestParserFuzz:
 
     @settings(max_examples=300)
     @given(body=st.one_of(_ini_text(), st.text()))
-    # these five used to escape load_config as InterpolationSyntaxError,
-    # ZeroDivisionError, ValueError and OverflowError (twice)
+    # these six used to escape load_config as InterpolationSyntaxError,
+    # ZeroDivisionError, ValueError and OverflowError (three times)
     @example(body="[experiment]\nprofile = a%b\n")
     @example(body="[experiment]\nprofile = p\nf0 = 0\n")
     @example(body="[experiment]\nprofile = p\nrr_in = nan\n")
     @example(body="[experiment]\nprofile = p\nfs = inf\n")
     @example(body="[experiment]\nprofile = p\nfixed_baselines = 1" + "0" * 400 + "\n")
+    @example(body="[experiment]\nprofile = p\nfs = 1e308\nf0 = 1e-10\n")
     def test_load_config_raises_only_config_error(self, tmp_path_factory, body):
         path = tmp_path_factory.getbasetemp() / "fuzz_config.ini"
         path.write_bytes(body.encode("utf-8", "surrogatepass"))

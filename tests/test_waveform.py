@@ -7,16 +7,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmustream.errors import DomainError, InvalidInputError
 from pmustream.estimators import fortescue_positive
 from pmustream.waveform import (
+    GRID_ALIGN_TOL,
     AnchorSeries,
     GroundTruth,
     PiecewisePoly,
     SQRT2,
     SYNTH_CHUNK,
     eval_reference,
+    grid_index,
     integrate_phase,
     pchip_fit,
     synth_three_phase,
@@ -204,6 +208,56 @@ class TestSynthThreePhase:
         gt = steady_gt(span=1.0)
         with pytest.raises(DomainError):
             synth_three_phase(gt, 0.5, 10_000)
+
+
+# ------------------------------------------------------------ sampling grid
+
+def span_gt(lo: float, hi: float, fs: float = 10_000.0) -> GroundTruth:
+    return GroundTruth.from_anchors(series((lo, 230.0), (hi, 230.0)),
+                                    series((lo, 50.0), (hi, 50.0)), fs=fs)
+
+
+class TestSamplingGrid:
+    def test_grid_index_within_tolerance(self):
+        fs = 10_000.0
+        assert grid_index(0.0, fs) == 0
+        assert grid_index(0.1 + 0.2, fs) == 3000
+        assert grid_index(-1.5, fs) == -15_000
+        assert grid_index((7 + 0.5 * GRID_ALIGN_TOL) / fs, fs) == 7
+        for off_grid in (1.23456e-5, (7 + 2 * GRID_ALIGN_TOL) / fs):
+            with pytest.raises(InvalidInputError, match="sampling grid"):
+                grid_index(off_grid, fs)
+
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 100.0),
+           fs=st.sampled_from([10_000.0, 8_000.0, 12_800.0, 3_000.0, 48_000.0]))
+    @example(lo=1e-14, width=3.0, fs=10_000.0)
+    @example(lo=0.0, width=3.0 - 1e-14, fs=10_000.0)
+    @example(lo=0.1 + 0.2, width=3.0, fs=10_000.0)
+    def test_sample_span_is_the_span_of_sample_instants(self, lo, width, fs):
+        gt = span_gt(lo, lo + width, fs)
+        lo, hi = gt.domain
+        n_lo, n_hi = gt.sample_span
+        assert n_lo / fs >= lo > (n_lo - 1) / fs
+        assert n_hi / fs <= hi < (n_hi + 1) / fs
+
+    @pytest.mark.parametrize("lo, hi", [(1e-14, 3.0), (0.0, 3.0 - 1e-14), (0.1 + 0.2, 3.3)])
+    def test_synthesis_reaches_exactly_the_sample_span(self, lo, hi):
+        # span edges a rounding error away from a sample instant
+        gt = span_gt(lo, hi)
+        n_lo, n_hi = gt.sample_span
+        block = synth_three_phase(gt, n_lo / gt.fs, n_hi - n_lo + 1)
+        assert block.sample_span == (n_lo, n_hi)
+        for first, last in ((n_lo - 1, n_hi), (n_lo, n_hi + 1)):
+            with pytest.raises(DomainError):
+                synth_three_phase(gt, first / gt.fs, last - first + 1)
+
+    def test_order_checks_do_not_overflow(self):
+        # neighbour comparison, not a difference that overflows to inf
+        big = np.finfo(float).max
+        AnchorSeries(np.array([-big, big]), np.array([1.0, 1.0]))
+        PiecewisePoly(np.array([-big, 0.0, big]), np.zeros((2, 1)))
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            AnchorSeries(np.array([big, -big]), np.array([1.0, 1.0]))
 
 
 # ------------------------------------------------------- evaluation memory
