@@ -10,16 +10,12 @@ import click
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError
 from .estimators import ALGORITHMS
 from .metrics import TRE_FORMULAS
-from .pipeline import (
-    list_profiles,
-    load_config,
-    parse_profile,
-    resolve_profile,
-    run_experiment,
-)
+from .pipeline import (ExperimentConfig, evaluation_window, list_profiles, load_config,
+                       run_experiment)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+INPUT_ERRORS = (ConfigError, ProfileError, InvalidInputError)  # exit 2
 
 
 def _fail(message: str, code: int):
@@ -70,13 +66,15 @@ def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
             _fail(f"--fixed expects comma-separated integers, got {fixed!r}", EXIT_CONFIG)
     try:
         config = load_config(config_path, **overrides)
-    except (ConfigError, ProfileError, InvalidInputError) as exc:
+    except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_CONFIG)
 
     try:
         reports = run_experiment(config)
-    except (ConfigError, ProfileError, InvalidInputError) as exc:
+    except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_CONFIG)
+    except OSError as exc:
+        _fail(f"cannot write artifacts to {config.output_dir}: {exc}", EXIT_CONFIG)
     except (PmuStreamError, ArithmeticError) as exc:
         _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
 
@@ -92,18 +90,16 @@ def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
 @main.command()
 @click.option("--profile", required=True, help="Profile CSV path or bundled profile name.")
 def validate(profile):
-    """Parse a profile and report its span and anchor counts."""
+    """Check that a default run accepts a profile; report its span and reports."""
+    config = ExperimentConfig(profile_path=profile)
     try:
-        path = resolve_profile(profile)
-        amplitude, frequency = parse_profile(path)
-    except (ProfileError, InvalidInputError) as exc:
+        gt, n_first, n_last, _, _ = evaluation_window(config)
+    except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_CONFIG)
-    lo = max(amplitude.domain[0], frequency.domain[0])
-    hi = min(amplitude.domain[1], frequency.domain[1])
-    click.echo(f"{path}: OK")
-    click.echo(f"  amplitude anchors: {amplitude.times.size}")
-    click.echo(f"  frequency anchors: {frequency.times.size}")
-    click.echo(f"  common span: [{lo:g}, {hi:g}] s")
+    click.echo(f"{profile}: OK")
+    click.echo("  common span: [{:g}, {:g}] s".format(*gt.domain))
+    click.echo(f"  reports: {(n_last - n_first) // config.estimator_config.r + 1} per "
+               f"algorithm, t = {n_first / gt.fs:g} to {n_last / gt.fs:g} s")
 
 
 @main.command(name="list-profiles")

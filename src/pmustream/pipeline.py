@@ -29,7 +29,8 @@ from .estimators import (
     run_estimator,
 )
 from .metrics import TRE_FORMULAS, TrackingReport, instantaneous_rr, tracking_indices
-from .waveform import AnchorSeries, GroundTruth, eval_reference, synth_three_phase
+from .waveform import (GRID_INDEX_LIMIT, AnchorSeries, GroundTruth, eval_reference,
+                       synth_three_phase)
 
 AMPLITUDE_QUANTITY = "amplitude_V"
 FREQUENCY_QUANTITY = "frequency_Hz"
@@ -168,49 +169,47 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     for quantity, rows in columns.items():
         if len(rows) < 2:
             raise ProfileError(f"profile needs at least 2 {quantity} rows")
-    amplitude = AnchorSeries.from_points(columns[AMPLITUDE_QUANTITY])
-    frequency = AnchorSeries.from_points(columns[FREQUENCY_QUANTITY])
-    lo = max(amplitude.domain[0], frequency.domain[0])
-    hi = min(amplitude.domain[1], frequency.domain[1])
-    if hi <= lo:
-        raise ProfileError("amplitude and frequency sections share no common time span")
-    return amplitude, frequency
+    return (AnchorSeries.from_points(columns[AMPLITUDE_QUANTITY]),
+            AnchorSeries.from_points(columns[FREQUENCY_QUANTITY]))
 
 
-def evaluation_window(config: ExperimentConfig, gt: GroundTruth) -> tuple[int, int, int, int]:
-    """Common reporting/evaluation geometry for all configured algorithms.
+def evaluation_window(config: ExperimentConfig) -> tuple[GroundTruth, int, int, int, int]:
+    """Ground truth of the configured profile and the reporting/evaluation
+    geometry common to all configured algorithms; ``run_experiment`` and
+    ``validate`` share it as the one rule for which profiles a run accepts.
 
-    Returns (first report index, last report index, left margin, right margin)
-    in samples on the fs grid.  The first report is placed past the largest
-    estimator warm-up and aligned to the internal reporting interval.
+    Returns it with (first report index, last report index, left margin,
+    right margin) in samples on the fs grid; the first report sits past the
+    largest estimator warm-up, aligned to the internal reporting interval.
     """
+    gt = GroundTruth.from_anchors(*parse_profile(resolve_profile(config.profile_path)),
+                                  f0=config.f0, fs=config.fs, phase0=config.phase0)
+    n_lo, n_hi = gt.sample_span
+    span = f"profile span {list(gt.domain)} s"
+    if not (-GRID_INDEX_LIMIT < n_lo and n_hi < GRID_INDEX_LIMIT):
+        raise InvalidInputError(f"{span} reaches sample {GRID_INDEX_LIMIT} at fs = "
+                                f"{config.fs} Hz; shift the time tags toward 0")
     est = config.estimator_config
     left = max(config.kind(a).left_margin(est) for a in config.algorithms)
     right = max(config.kind(a).right_margin(est) for a in config.algorithms)
-    n_lo, n_hi = gt.sample_span
     r = est.r
     n_first = math.ceil((n_lo + left) / r) * r
     n_last = n_first + ((n_hi - right - n_first) // r) * r
     if n_last < n_first:
-        raise ConfigError("profile span too short for the estimator windows")
-    return n_first, n_last, left, right
+        raise ConfigError(f"{span} too short for the estimator windows")
+    return gt, n_first, n_last, left, right
 
 
 def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingReport]:
     """Execute one experiment and write its artifacts under ``output_dir``."""
-    profile = resolve_profile(config.profile_path)
-    amplitude, frequency = parse_profile(profile)
-    gt = GroundTruth.from_anchors(amplitude, frequency, f0=config.f0,
-                                  fs=config.fs, phase0=config.phase0)
+    gt, n_first, n_last, left, right = evaluation_window(config)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     est = config.estimator_config
-    n_first, n_last, left, right = evaluation_window(config, gt)
     fs = config.fs
     block = synth_three_phase(gt, (n_first - left) / fs, n_last - n_first + left + right + 1)
     grid = np.arange(n_first, n_last + 1) / fs
     reference = TripletSeries(grid, *eval_reference(gt, grid))
-
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: dict[tuple[str, str], TrackingReport] = {}
     for name in config.algorithms:

@@ -24,6 +24,10 @@ SQRT2 = math.sqrt(2.0)
 # reporting time may deviate from it by at most this many sample periods.
 GRID_ALIGN_TOL = 1e-6
 
+# n / fs * fs rounds twice, so it is off n by about n * 2**-52 at most: within
+# GRID_ALIGN_TOL for every sample index |n| below this power of two (2**32)
+GRID_INDEX_LIMIT = 2 ** math.floor(math.log2(GRID_ALIGN_TOL * 2 ** 52))
+
 SYNTH_CHUNK = 32_768  # samples synthesized per slice
 
 
@@ -284,12 +288,19 @@ class GroundTruth:
         fs: float = 10_000.0,
         phase0: float = 0.0,
     ) -> "GroundTruth":
+        # before any fit: anchor times below 2**51 samples keep fits finite
+        (a_lo, a_hi), (f_lo, f_hi) = amplitude_anchors.domain, frequency_anchors.domain
+        lo, hi = max(a_lo, f_lo), min(a_hi, f_hi)
+        if hi <= lo:
+            raise InvalidInputError("amplitude and frequency anchors share no common time "
+                                    f"span: [{lo}, {hi}] s is empty")
+        if not all(abs(t * fs) < 2 ** 51 for t in (a_lo, a_hi, f_lo, f_hi)):
+            raise InvalidInputError(f"anchor times [{min(a_lo, f_lo)}, {max(a_hi, f_hi)}] s "
+                                    f"reach 2**51 samples at fs = {fs} Hz; shift them toward 0")
+        if not math.isfinite(phase0):
+            raise InvalidInputError(f"phase0 must be finite, got {phase0}")
         amp = pchip_fit(amplitude_anchors)
         freq = pchip_fit(frequency_anchors)
-        lo = max(amp.domain[0], freq.domain[0])
-        hi = min(amp.domain[1], freq.domain[1])
-        if hi <= lo:
-            raise InvalidInputError("amplitude and frequency anchors share no common time span")
         if amp.domain != (lo, hi):
             amp = amp.restrict(lo, hi)
         if freq.domain != (lo, hi):

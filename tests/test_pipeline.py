@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pmustream import pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
-from pmustream.errors import ConfigError, ProfileError
+from pmustream.errors import ConfigError, InvalidInputError, ProfileError
 from pmustream.estimators import TripletSeries, run_estimator
 from pmustream.metrics import instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
@@ -28,7 +28,7 @@ from pmustream.pipeline import (
     resolve_profile,
     run_experiment,
 )
-from pmustream.waveform import GroundTruth, eval_reference, synth_three_phase
+from pmustream.waveform import GRID_INDEX_LIMIT, GroundTruth, eval_reference, synth_three_phase
 from test_metrics import reference_series
 
 BUNDLED = [
@@ -91,6 +91,32 @@ EDGE_SPANS = {"first_anchor_1e-14": (1e-14, 3.0), "last_anchor_3-1e-14": (0.0, 3
               "first_anchor_0.1+0.2": (0.1 + 0.2, 3.3)}
 
 
+def steady(lo: float, hi: float) -> str:
+    """Profile text of a steady 230 V / 50 Hz signal anchored at ``lo`` and ``hi``."""
+    return "quantity,t_s,value\n" + "".join(
+        f"{q},{t!r},{v}\n" for q, v in (("amplitude_V", 230), ("frequency_Hz", 50))
+        for t in (lo, hi))
+
+
+DISJOINT = ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1,229\n"
+            "frequency_Hz,2,50\nfrequency_Hz,3,50\n")
+
+# profiles that validate and run both refuse (exit 2), with the cause in
+# their shared error line; the offset ones all used to pass validate, and run
+# then exited 0 with wrong keeps (1e9, 1e12 s), 2 on an off-grid time (1e7,
+# 1.7e9 s) or 3 (1e305 s)
+SAMPLE_INDEX_LIMIT = f"reaches sample {GRID_INDEX_LIMIT}"
+REFUSED = {
+    "disjoint_sections": (DISJOINT, "share no common time span: [2.0, 1.0] s is empty"),
+    "span_0.03s": (steady(0.0, 0.03), "profile span [0.0, 0.03] s too short"),
+    "at_1e7s": (steady(1e7, 1e7 + 2), SAMPLE_INDEX_LIMIT),
+    "at_1e9s": (steady(1e9, 1e9 + 2), SAMPLE_INDEX_LIMIT),
+    "at_1.7e9s_soc": (steady(1.7e9, 1.7e9 + 2), SAMPLE_INDEX_LIMIT),
+    "at_1e12s": (steady(1e12, 1e12 + 2), "reach 2**51 samples"),
+    "at_1e305s": (steady(1e305, 2e305), "anchor times [1e+305, 2e+305] s reach 2**51 samples"),
+}
+
+
 # ------------------------------------------------------------ parse_profile
 
 class TestParseProfile:
@@ -134,12 +160,6 @@ class TestParseProfile:
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ProfileError):
             parse_profile(write_profile(tmp_path, "time,quantity,value\n"))
-
-    def test_disjoint_spans_rejected(self, tmp_path):
-        body = "quantity,t_s,value\namplitude_V,0,230\namplitude_V,1,229\n" + \
-            "frequency_Hz,2,50\nfrequency_Hz,3,50\n"
-        with pytest.raises(ProfileError):
-            parse_profile(write_profile(tmp_path, body))
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
         bad = write_bytes(tmp_path, MINIMAL.encode() + b"# \xff\n", "latin.csv")
@@ -213,7 +233,7 @@ class TestRunExperiment:
         amp, freq = parse_profile(resolve_profile("two_stage_collapse"))
         gt = GroundTruth.from_anchors(amp, freq, f0=config.f0, fs=config.fs)
         est = config.estimator_config
-        n_first, n_last, left, right = evaluation_window(config, gt)
+        _, n_first, n_last, left, right = evaluation_window(config)
         block = synth_three_phase(
             gt, (n_first - left) / config.fs, n_last - n_first + left + right + 1)
         triplets = run_estimator(config.kind("i_ipdft"), block, est,
@@ -330,7 +350,7 @@ class TestRunExperiment:
         amp, freq = parse_profile(resolve_profile("two_stage_collapse"))
         gt = GroundTruth.from_anchors(amp, freq, f0=config.f0, fs=config.fs)
         est = config.estimator_config
-        n_first, n_last, left, right = evaluation_window(config, gt)
+        _, n_first, n_last, left, right = evaluation_window(config)
         block = synth_three_phase(
             gt, (n_first - left) / config.fs, n_last - n_first + left + right + 1)
         triplets = run_estimator(config.kind("p_iec"), block, est,
@@ -414,10 +434,8 @@ class TestRunExperiment:
 
     def test_evaluation_window_of_bundled_profiles(self):
         for name, window in BUNDLED_WINDOWS.items():
-            config = ExperimentConfig(profile_path=name)
-            gt = GroundTruth.from_anchors(*parse_profile(resolve_profile(name)),
-                                          f0=config.f0, fs=config.fs)
-            assert evaluation_window(config, gt) == window, name
+            _, *geometry = evaluation_window(ExperimentConfig(profile_path=name))
+            assert tuple(geometry) == window, name
 
     def test_reference_evaluated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -613,10 +631,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edge", sorted(EDGE_SPANS))
     def test_span_edges_off_the_grid_by_rounding_run(self, tmp_path, edge):
-        lo, hi = EDGE_SPANS[edge]
-        body = "".join(f"{q},{lo!r},{v}\n{q},{hi!r},{v}\n"
-                       for q, v in (("amplitude_V", 230), ("frequency_Hz", 50)))
-        profile = write_profile(tmp_path, "quantity,t_s,value\n" + body)
+        profile = write_profile(tmp_path, steady(*EDGE_SPANS[edge]))
         for algos in (["--algo", "p_iec"], []):
             result = CliRunner().invoke(cli_main, [
                 "run", "--profile", str(profile), *algos, "--out", str(tmp_path / "o")])
@@ -634,6 +649,112 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert (out / "summary.json").is_file()
+
+
+# ------------------------------------------------------- profile acceptance
+
+def invoke(*argv: str):
+    """Run the CLI; a traceback or a RuntimeWarning (an error in this suite)
+    shows as exit code 1, never as 0, 2 or 3."""
+    return CliRunner().invoke(cli_main, list(argv))
+
+
+class TestProfileAcceptance:
+    """``GroundTruth.from_anchors`` holds the span rule and ``evaluation_window``
+    the geometry; ``validate`` and ``run`` both reach them through
+    ``evaluation_window``, so they accept the same profiles."""
+
+    def test_disjoint_spans_rejected(self, tmp_path):
+        amp, freq = parse_profile(write_profile(tmp_path, DISJOINT))  # rows are fine
+        with pytest.raises(InvalidInputError, match="share no common time span"):
+            GroundTruth.from_anchors(amp, freq)
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_validate_and_run_refuse_alike(self, tmp_path, name):
+        body, cause = REFUSED[name]
+        profile = str(write_profile(tmp_path, body))
+        out = tmp_path / "o"
+        lines = []
+        for argv in (["validate", "--profile", profile], ["run", "--profile", profile,
+                                                          "--out", str(out)]):
+            result = invoke(*argv)
+            assert result.exit_code == 2, (argv, result.output)
+            lines.append(result.output.splitlines())
+        assert lines[0] == lines[1]
+        assert len(lines[0]) == 1 and lines[0][0].startswith("error: ")
+        assert cause in lines[0][0]
+        assert not out.exists()  # refused before any artifact
+
+    @pytest.mark.parametrize("start", [0, (GRID_INDEX_LIMIT // 100 - 201) * 100])
+    def test_steady_profile_inside_the_sample_index_limit(self, tmp_path, start):
+        # a 2 s span aligned to the reporting interval, ending 196 samples
+        # below the limit, keeps what it keeps at t = 0
+        profile = write_profile(tmp_path, steady(start / 1e4, (start + 20_000) / 1e4))
+        assert invoke("validate", "--profile", str(profile)).exit_code == 0
+        result = invoke("run", "--profile", str(profile), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        for algo in ("p_iec", "i_ipdft"):
+            assert f"{algo}: kept 1/194 frames" in result.output
+
+    def test_first_sample_index_past_the_limit_exit_2(self, tmp_path):
+        end = GRID_INDEX_LIMIT / 1e4
+        for lo, hi in ((end - 2, end), (-end, -end + 2)):
+            profile = str(write_profile(tmp_path, steady(lo, hi)))
+            for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+                result = invoke(*argv, "--profile", profile)
+                assert result.exit_code == 2, (argv, result.output)
+                assert SAMPLE_INDEX_LIMIT in result.output
+        inside = steady(-end + 1e-4, -end + 2)  # index -(limit - 1)
+        assert invoke("validate", "--profile",
+                      str(write_profile(tmp_path, inside))).exit_code == 0
+
+    @settings(max_examples=25)
+    @given(offset=st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                                    st.floats(1.0, 10.0), st.integers(0, 12))),
+           shift=st.floats(0.0, 0.05), steps=st.lists(st.floats(0.02, 0.4), min_size=2,
+                                                      max_size=4),
+           amplitude=st.floats(0.0, 400.0), frequency=st.floats(45.0, 55.0))
+    @example(offset=429_496.5, shift=0.0, steps=[0.1, 0.2], amplitude=230.0, frequency=50.0)
+    @example(offset=3e12, shift=0.0, steps=[0.1, 0.2], amplitude=230.0, frequency=50.0)
+    def test_validate_accepts_exactly_what_run_accepts(self, tmp_path_factory, offset, shift,
+                                                       steps, amplitude, frequency):
+        times = [offset + sum(steps[:k]) for k in range(1, len(steps) + 1)]
+        rows = [f"amplitude_V,{t!r},{amplitude!r}" for t in (times[0], times[-1])] + \
+            [f"frequency_Hz,{t + shift!r},{frequency + k * 0.01!r}" for k, t in enumerate(times)]
+        path = tmp_path_factory.getbasetemp() / "accept_profile.csv"
+        path.write_text("\n".join(["quantity,t_s,value", *rows]) + "\n", encoding="utf-8")
+        checked = invoke("validate", "--profile", str(path))
+        ran = invoke("run", "--profile", str(path),
+                     "--out", str(tmp_path_factory.getbasetemp() / "accept_out"))
+        assert checked.exit_code in (0, 2) and ran.exit_code in (0, 2, 3), (checked, ran)
+        assert (checked.exit_code == 0) == (ran.exit_code != 2), (checked.output, ran.output)
+        if checked.exit_code == 2:
+            assert checked.output == ran.output
+
+    @pytest.mark.parametrize("phase0", ["inf", "-inf", "nan"])
+    def test_non_finite_phase0_exit_2_before_synthesis(self, tmp_path, monkeypatch, phase0):
+        monkeypatch.setattr(pipeline, "synth_three_phase", None)  # a call would be exit 1
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nprofile = steady_nominal\nphase0 = {phase0}\n",
+                       encoding="utf-8")
+        result = invoke("run", "--config", str(ini), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: phase0 must be finite, got {float(phase0)}\n"
+
+    def test_out_that_cannot_hold_artifacts_exit_2(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        taken = tmp_path / "taken"
+        (taken / "table.csv").mkdir(parents=True)  # writing table.csv fails late
+        profile = str(write_profile(tmp_path, MINIMAL))
+        for out in (blocker, blocker / "sub", taken):
+            result = invoke("run", "--profile", profile, "--algo", "p_iec", "--out", str(out))
+            assert result.exit_code == 2, (out, result.output)
+            assert result.output.startswith(f"error: cannot write artifacts to {out}: ")
+        # the output directory is made before synthesis: a file in its way
+        # costs no synthesis
+        monkeypatch.setattr(pipeline, "synth_three_phase", None)
+        assert invoke("run", "--profile", profile, "--out", str(blocker)).exit_code == 2
 
 
 # ------------------------------------------------------------ parser fuzzing

@@ -251,6 +251,16 @@ class TestSamplingGrid:
             with pytest.raises(DomainError):
                 synth_three_phase(gt, first / gt.fs, last - first + 1)
 
+    def test_from_anchors_refuses_before_fitting(self):
+        # the far anchor lies outside the common span, yet its 1e200 s
+        # interval would overflow pchip_fit's hi * hi
+        far = series((0.0, 230.0), (1e200, 230.0))
+        with pytest.raises(InvalidInputError, match=r"\[0.0, 1e\+200\] s reach 2\*\*51 samples"):
+            GroundTruth.from_anchors(far, series((0.0, 50.0), (2.0, 50.0)))
+        for phase0 in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="phase0 must be finite"):
+                steady_gt(phase0=phase0)
+
     def test_order_checks_do_not_overflow(self):
         # neighbour comparison, not a difference that overflows to inf
         big = np.finfo(float).max
