@@ -182,8 +182,10 @@ def reconstruct(
     phasor = np.multiply(angle, 1j, out=np.empty(q.size, dtype=complex))
     del angle
     np.exp(phasor, out=phasor)
-    # complex multiply is not bitwise commutative: keep the kept phasor first
-    np.multiply(series.phasor[rows], phasor, out=phasor)
+    # complex multiply is not bitwise commutative: keep the kept phasor first;
+    # numpy multiplies a lone element in place in a scalar loop that rounds
+    # unlike its vector loop, so a single query gets a fresh output
+    phasor = np.multiply(series.phasor[rows], phasor, out=phasor if q.size > 1 else None)
 
     phasor[exact] = series.phasor[rows[exact]]
     freq[exact] = series.frequency[rows[exact]]

@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import numbers
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -35,7 +36,9 @@ from .waveform import (GRID_INDEX_LIMIT, AnchorSeries, GroundTruth, eval_referen
 AMPLITUDE_QUANTITY = "amplitude_V"
 FREQUENCY_QUANTITY = "frequency_Hz"
 PROFILE_HEADER = ("quantity", "t_s", "value")
-TRACE_CHUNK_ROWS = 16_384
+# grid rows per step of the trace writer: its text for one file is about
+# 1 kB per row, and a step's own cost is a few percent of its formatting
+TRACE_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,7 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
     reference = TripletSeries(grid, *eval_reference(gt, grid))
 
     reports: dict[tuple[str, str], TrackingReport] = {}
+    traces = []  # (path, stream, kept) per traced (algorithm, mode)
     for name in config.algorithms:
         try:
             triplets = run_estimator(config.kind(name), block, est, n_first / fs, n_last / fs)
@@ -230,15 +234,18 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 raise with_context(exc, f"{name} {mode}")
             reports[(name, mode)] = TrackingReport(*tre, kept.size, total)
             if config.emit_traces:
-                _write_trace(out_dir / f"trace_{name}_{mode}.csv", series, reference,
-                             kept * est.r)  # report k sits on grid row k*r
+                traces.append((out_dir / f"trace_{name}_{mode}.csv", stream, kept))
 
         _write_frames(out_dir / f"kept_{name}_adaptive.jsonl", stream, records, adaptive_kept)
-        _write_csv(out_dir / f"instantaneous_rr_{name}_adaptive.csv", "t_s,rr_fps",
-                   [instantaneous_rr(stream.t[adaptive_kept])])
+        rr = instantaneous_rr(stream.t[adaptive_kept])
+        (out_dir / f"instantaneous_rr_{name}_adaptive.csv").write_text(
+            "t_s,rr_fps\n" + _csv_lines(*map(_cells, zip(*rr))), encoding="utf-8")
         if config.emit_decisions:
             _write_frames(out_dir / f"decisions_{name}_adaptive.jsonl", stream, records,
                           np.arange(total), decisions=True)
+
+    if traces:
+        _write_traces(traces, reference, config.f0, est)
 
     csv_text, human_text = emit_table(reports, config)
     (out_dir / "table.csv").write_text(csv_text, encoding="utf-8")
@@ -310,9 +317,9 @@ def _write_frames(path: Path, stream: TripletSeries, records: list, rows: np.nda
     """JSON lines of the frames ``rows`` of ``stream``: the triplet and the
     binding quantity, plus ``kept`` and ``eps`` (non-finite as null) for the
     decision log."""
-    columns = (stream.t, stream.phasor.real, stream.phasor.imag, stream.frequency, stream.rocof)
     lines = []
-    for i, t, re, im, f, rocof in zip(rows.tolist(), *(c[rows].tolist() for c in columns)):
+    columns = (c[rows].tolist() for c in _columns(stream))
+    for i, t, re, im, f, rocof in zip(rows.tolist(), *columns):
         rec = records[i]
         frame = dict(t=t, re=re, im=im, f=f, rocof=rocof, binding=rec.binding_quantity)
         if decisions:
@@ -323,26 +330,45 @@ def _write_frames(path: Path, stream: TripletSeries, records: list, rows: np.nda
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, chunks) -> None:
-    """CSV of ``header`` and the rows of each chunk; a cell is the repr of a
-    Python float or int, the shortest text that reads back to the same value."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for rows in chunks:
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+def _columns(series: TripletSeries) -> tuple[np.ndarray, ...]:
+    return series.t, series.phasor.real, series.phasor.imag, series.frequency, series.rocof
 
 
-def _write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
-                 kept_rows: np.ndarray) -> None:
-    kept_flag = np.zeros(series.t.size, dtype=int)
-    kept_flag[kept_rows] = 1
-    columns = (series.t, reference.phasor.real, reference.phasor.imag, reference.frequency,
-               reference.rocof, series.phasor.real, series.phasor.imag,
-               series.frequency, series.rocof, kept_flag)
-    header = "t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept"
-    step = TRACE_CHUNK_ROWS  # chunks: a long trace's Python floats never exist all at once
-    _write_csv(path, header, (zip(*(c[lo:lo + step].tolist() for c in columns))
-                              for lo in range(0, series.t.size, step)))
+def _cells(values) -> list[str]:
+    """CSV cells of ``values``: a cell is the repr of a Python float or int,
+    the shortest text that reads back to the same value."""
+    return list(map(repr, np.asarray(values).tolist()))
+
+
+def _csv_lines(*columns: list[str]) -> str:
+    """CSV text of the rows whose cells are ``columns``, one list each."""
+    text = "\n".join(map(",".join, zip(*columns)))
+    return text + "\n" if text else text
+
+
+def _write_traces(traces, reference: TripletSeries, f0: float, est: EstimatorConfig) -> None:
+    """One CSV per ``(path, stream, kept)``: time, reference, reconstruction
+    from the ``kept`` reports on the reference grid, and a flag on their rows
+    (report k sits on grid row k*r).  One pass over the grid writes every file,
+    formatting a chunk's time and reference cells once for all of them;
+    ``reconstruct`` is pointwise, so each chunk holds the values scored."""
+    header = "t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept\n"
+    with ExitStack() as stack:  # a file that cannot be opened closes the others
+        files = [(stack.enter_context(path.open("w", encoding="utf-8")), stream, kept,
+                  kept * est.r) for path, stream, kept in traces]
+        for fh, *_ in files:
+            fh.write(header)
+        step = TRACE_CHUNK_ROWS
+        for lo in range(0, reference.t.size, step):
+            grid = reference.t[lo:lo + step]
+            shared = list(map(",".join, zip(*(_cells(c[lo:lo + step])
+                                              for c in _columns(reference)))))
+            for fh, stream, kept, rows in files:
+                recon = reconstruct(stream, kept, grid, f0, est.ts)
+                flag = np.zeros(grid.size, dtype=int)
+                a, b = np.searchsorted(rows, (lo, lo + grid.size))
+                flag[rows[a:b] - lo] = 1
+                fh.write(_csv_lines(shared, *map(_cells, (*_columns(recon)[1:], flag))))
 
 
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:

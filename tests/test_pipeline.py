@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from pmustream import pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, InvalidInputError, ProfileError
-from pmustream.estimators import TripletSeries, run_estimator
+from pmustream.estimators import EstimatorConfig, TripletSeries, run_estimator
 from pmustream.metrics import instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
@@ -30,6 +32,7 @@ from pmustream.pipeline import (
 )
 from pmustream.waveform import GRID_INDEX_LIMIT, GroundTruth, eval_reference, synth_three_phase
 from test_metrics import reference_series
+from test_waveform import traced_peak
 
 BUNDLED = [
     "abrupt_collapse",
@@ -456,6 +459,107 @@ class TestRunExperiment:
         assert len(calls) == 1
 
 
+# ------------------------------------------------------------ trace writer
+
+def oracle_write_csv(path: Path, header: str, chunks) -> None:
+    """The per-file CSV writer the one-pass trace writer replaced."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for rows in chunks:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def oracle_write_trace(path: Path, series: TripletSeries, reference: TripletSeries,
+                       kept_rows: np.ndarray) -> None:
+    """One trace file from a whole-grid reconstruction, row by row."""
+    kept_flag = np.zeros(series.t.size, dtype=int)
+    kept_flag[kept_rows] = 1
+    columns = (series.t, reference.phasor.real, reference.phasor.imag, reference.frequency,
+               reference.rocof, series.phasor.real, series.phasor.imag,
+               series.frequency, series.rocof, kept_flag)
+    header = "t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept"
+    step = 16_384
+    oracle_write_csv(path, header, (zip(*(c[lo:lo + step].tolist() for c in columns))
+                                    for lo in range(0, series.t.size, step)))
+
+
+# bytes, for 500-row chunks: the one-pass writer peaks at 0.48 MB on a
+# 4,901-row grid with one file and at 0.50 MB on a 19,901-row grid with four;
+# the per-file writer it replaced read 0.34 and 0.46 MB (its whole-grid flag
+# column grows with the grid), and a per-run list of row prefixes 2.5 and
+# 10.1 MB
+TRACE_PEAK_BOUND = 750_000
+TRACE_CONFIG = dict(profile_path="ramp_amplitude_modulation", fixed_baselines=(2, 10),
+                    emit_traces=True)
+
+
+class TestTraceWriter:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """The arguments ``run_experiment`` hands the trace writer for
+        ``TRACE_CONFIG``, and every trace file as the oracle writes it from the
+        run's whole-grid reconstructions."""
+        out = tmp_path_factory.mktemp("oracle")
+        config = ExperimentConfig(output_dir=str(out / "run"), **TRACE_CONFIG)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_write_traces", lambda *args: calls.append(args))
+            run_experiment(config)
+        [(traces, reference, f0, est)] = calls
+        assert len(traces) == 2 * 4
+        oracle = {}
+        for path, stream, kept in traces:
+            oracle_write_trace(out / path.name, reconstruct(stream, kept, reference.t, f0, est.ts),
+                               reference, kept * est.r)
+            oracle[path.name] = (out / path.name).read_bytes()
+        return (traces, reference, f0, est), oracle
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 4097, pipeline.TRACE_CHUNK_ROWS])
+    def test_traces_match_oracle_bytewise(self, run, tmp_path, monkeypatch, chunk):
+        # report k sits on grid row 100*k: chunks of 1 and 100 start on kept
+        # rows, 7 and 4,097 drift across them, and all but 1 end partial on
+        # the 29,301-row grid; one-row chunks write its first 2,001 rows only,
+        # as a whole pass of 234,408 one-row calls would take 16 s
+        (traces, reference, *rest), oracle = run
+        rows = 2_001 if chunk == 1 else len(reference)
+        monkeypatch.setattr(pipeline, "TRACE_CHUNK_ROWS", chunk)
+        pipeline._write_traces([(tmp_path / path.name, stream, kept)
+                                for path, stream, kept in traces],
+                               TripletSeries(*(getattr(reference, k)[:rows] for k in
+                                               ("t", "phasor", "frequency", "rocof"))), *rest)
+        for name, text in oracle.items():
+            want = b"".join(text.splitlines(keepends=True)[:rows + 1])
+            assert (tmp_path / name).read_bytes() == want, name
+
+    def test_run_writes_the_oracle_traces(self, run, tmp_path):
+        run_experiment(ExperimentConfig(output_dir=str(tmp_path), **TRACE_CONFIG))
+        written = {p.name: p.read_bytes() for p in tmp_path.glob("trace_*.csv")}
+        assert written == run[1]
+
+    def test_peak_flat_in_grid_length_and_file_count(self, tmp_path, monkeypatch):
+        # the writer holds one chunk of cells and text, for one file at a
+        # time: at a fixed chunk size its peak grows neither with the grid nor
+        # with the number of files, as a per-run list of row prefixes would
+        monkeypatch.setattr(pipeline, "TRACE_CHUNK_ROWS", 500)
+        est = EstimatorConfig()
+
+        def peak(reports: int, files: int) -> int:
+            grid = np.arange((reports - 1) * est.r + 1) / est.fs
+            reference = TripletSeries(grid, 230.0 * np.exp(0.3j * grid),
+                                      50.0 + 0.1 * np.sin(grid), 0.1 * np.cos(grid))
+            t = grid[::est.r].copy()
+            stream = TripletSeries(t, 229.0 * np.exp(0.3j * t), 50.0 + 0.1 * np.sin(t),
+                                   0.1 * np.cos(t))
+            traces = [(tmp_path / f"trace_{i}.csv", stream, np.arange(0, reports, i + 1))
+                      for i in range(files)]
+            return traced_peak(lambda: pipeline._write_traces(traces, reference, 50.0, est))
+
+        peaks = [peak(reports, files) for reports, files in ((50, 1), (200, 1), (50, 4),
+                                                             (200, 4))]
+        assert max(peaks) < TRACE_PEAK_BOUND, peaks
+        assert max(peaks) < 1.2 * peaks[0], peaks
+
+
 # ------------------------------------------------------------- emit_table
 
 class TestEmitTable:
@@ -755,6 +859,21 @@ class TestProfileAcceptance:
         # costs no synthesis
         monkeypatch.setattr(pipeline, "synth_three_phase", None)
         assert invoke("run", "--profile", profile, "--out", str(blocker)).exit_code == 2
+
+    def test_trace_path_taken_by_a_directory_exit_2(self, tmp_path):
+        # every trace file is open at once: the one opened before the failing
+        # one is closed, not left to the garbage collector
+        out = tmp_path / "o"
+        (out / "trace_p_iec_50fps.csv").mkdir(parents=True)
+        profile = str(write_profile(tmp_path, MINIMAL))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke("run", "--profile", profile, "--emit-traces", "--out", str(out))
+            gc.collect()
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot write artifacts to {out}: ")
+        assert len(result.output.splitlines()) == 1
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # ------------------------------------------------------------ parser fuzzing
