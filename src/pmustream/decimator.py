@@ -132,19 +132,14 @@ def decimate_stream(
     return np.flatnonzero([r.kept for r in dec.records]), dec.records
 
 
-def reconstruct(
-    series: TripletSeries,
-    kept,
-    query_times,
-    f0: float,
-    ts: float,
-) -> TripletSeries:
-    """Receiver-side view: kept rows of ``series`` verbatim, predictions in between.
+def serving_rows(series: TripletSeries, kept, query_times,
+                 ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row of ``series`` that serves each query time, as ``(rows, q,
+    exact)`` for :func:`predict_rows`.
 
     ``kept`` indexes the rows of ``series`` that reached the receiver.  A
-    query within ``ts/2`` of a kept timestamp returns that row; any other
-    query is served by predicting from the most recent kept row at or before
-    it.
+    query within ``ts/2`` of a kept timestamp is served by that row exactly;
+    any other query by the most recent kept row at or before it.
     """
     kept = np.asarray(kept, dtype=np.intp)
     if kept.size == 0:
@@ -158,15 +153,35 @@ def reconstruct(
         raise DomainError("query precedes the first kept triplet")
 
     idx = np.searchsorted(kt, q + tol, side="right") - 1
-    dt = q - kt[idx]
-    # kt[idx] <= q + tol, so dt >= -tol up to rounding: testing |dt| would
-    # send such a rounding case to a backward prediction instead of the row
-    exact = dt <= tol
-    rows = kept[idx]
-    del idx
+    # kt[idx] <= q + tol, so q - kt[idx] >= -tol up to rounding: testing its
+    # absolute value would send such a rounding case to a backward prediction
+    # instead of the row
+    exact = q - kt[idx] <= tol
+    return kept[idx], q, exact
+
+
+def grid_serving_rows(kept: np.ndarray, kept_rows: np.ndarray, q: np.ndarray,
+                      lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`serving_rows` on a rigid grid, computed in integers: ``q`` holds
+    the times of grid rows ``lo, lo + 1, ...`` and kept report ``kept[i]``
+    sits on grid row ``kept_rows[i]``.  A row is served by the last kept
+    report on or before it, exactly on that report's own row."""
+    if kept_rows[0] > lo:
+        raise DomainError("grid row precedes the first kept triplet")
+    g = np.arange(lo, lo + q.size)
+    idx = np.searchsorted(kept_rows, g, side="right") - 1
+    return kept[idx], q, kept_rows[idx] == g
+
+
+def predict_rows(series: TripletSeries, rows: np.ndarray, q: np.ndarray, exact: np.ndarray,
+                 f0: float) -> TripletSeries:
+    """Row ``rows[i]`` of ``series`` at time ``q[i]``: verbatim where
+    ``exact[i]``, else predicted from it as :func:`predict` does."""
     # gather each kept column once and work in place, in predict()'s
     # operation order; temporaries are dropped as soon as they are spent to
     # keep the peak near the size of the result
+    dt = series.t[rows]
+    np.subtract(q, dt, out=dt)
     kf = series.frequency[rows]
     rocof = series.rocof[rows]
     angle = kf - f0
@@ -190,3 +205,10 @@ def reconstruct(
     phasor[exact] = series.phasor[rows[exact]]
     freq[exact] = series.frequency[rows[exact]]
     return TripletSeries(t=q, phasor=phasor, frequency=freq, rocof=rocof)
+
+
+def reconstruct(series: TripletSeries, kept, query_times, f0: float,
+                ts: float) -> TripletSeries:
+    """Receiver-side view: kept rows of ``series`` verbatim, predictions in
+    between, from the rows :func:`serving_rows` picks."""
+    return predict_rows(series, *serving_rows(series, kept, query_times, ts), f0)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decimator import Thresholds, decimate_stream, reconstruct
+from .decimator import Thresholds, decimate_stream, grid_serving_rows, predict_rows
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError, with_context
 from .estimators import (
     ALGORITHMS,
@@ -227,8 +227,9 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
 
         for mode, divisor in config.modes:
             kept = adaptive_kept if divisor is None else np.arange(0, total, divisor)
-            try:
-                series = reconstruct(stream, kept, grid, config.f0, est.ts)
+            try:  # report k sits on grid row k*r
+                series = predict_rows(stream, *grid_serving_rows(kept, kept * est.r, grid, 0),
+                                      config.f0)
                 tre = tracking_indices(series, reference, config.tre_formula)
             except (PmuStreamError, ArithmeticError) as exc:
                 raise with_context(exc, f"{name} {mode}")
@@ -348,27 +349,63 @@ def _csv_lines(*columns: list[str]) -> str:
 
 def _write_traces(traces, reference: TripletSeries, f0: float, est: EstimatorConfig) -> None:
     """One CSV per ``(path, stream, kept)``: time, reference, reconstruction
-    from the ``kept`` reports on the reference grid, and a flag on their rows
-    (report k sits on grid row k*r).  One pass over the grid writes every file,
-    formatting a chunk's time and reference cells once for all of them;
-    ``reconstruct`` is pointwise, so each chunk holds the values scored."""
+    from the ``kept`` reports on the reference grid, and a flag on their rows.
+    One pass over the grid writes every file from the serving rows scoring
+    uses, so each chunk holds the values scored."""
     header = "t_s,ref_re,ref_im,ref_f,ref_rocof,recon_re,recon_im,recon_f,recon_rocof,kept\n"
     with ExitStack() as stack:  # a file that cannot be opened closes the others
-        files = [(stack.enter_context(path.open("w", encoding="utf-8")), stream, kept,
-                  kept * est.r) for path, stream, kept in traces]
-        for fh, *_ in files:
+        streams: dict[int, tuple[TripletSeries, list]] = {}  # the files of each stream
+        for path, stream, kept in traces:
+            fh = stack.enter_context(path.open("w", encoding="utf-8"))
             fh.write(header)
-        step = TRACE_CHUNK_ROWS
-        for lo in range(0, reference.t.size, step):
-            grid = reference.t[lo:lo + step]
-            shared = list(map(",".join, zip(*(_cells(c[lo:lo + step])
-                                              for c in _columns(reference)))))
-            for fh, stream, kept, rows in files:
-                recon = reconstruct(stream, kept, grid, f0, est.ts)
-                flag = np.zeros(grid.size, dtype=int)
-                a, b = np.searchsorted(rows, (lo, lo + grid.size))
-                flag[rows[a:b] - lo] = 1
-                fh.write(_csv_lines(shared, *map(_cells, (*_columns(recon)[1:], flag))))
+            streams.setdefault(id(stream), (stream, []))[1].append((fh, kept, kept * est.r))
+        for lo in range(0, reference.t.size, TRACE_CHUNK_ROWS):
+            _write_trace_chunk(streams.values(), reference, lo, est.r, f0)
+
+
+def _write_trace_chunk(streams, reference: TripletSeries, lo: int, r: int, f0: float) -> None:
+    """The rows of the grid chunk at ``lo`` in every file of ``_write_traces``.
+
+    The time and reference cells are formatted once for all files.  A row
+    served by its own report (``g // r``) has the same value in every mode,
+    so its cells are formatted once per stream; each file formats only the
+    rows it serves from an earlier report, and its held ROCOF once per
+    serving report.  What a chunk formats is dropped before the next one."""
+    grid = reference.t[lo:lo + TRACE_CHUNK_ROWS]
+    hi = lo + grid.size
+    shared = list(map(",".join, zip(*(_cells(c[lo:hi]) for c in _columns(reference)))))
+    own = np.arange(lo, hi)
+    own_exact = own % r == 0
+    own //= r
+
+    def lines(stream, own_cells, kept, kept_rows) -> list[str]:
+        # one file's lines and a last empty one; the cells formatted for them
+        # are dropped on return, before the lines are joined
+        rows, _, exact = grid_serving_rows(kept, kept_rows, grid, lo)
+        values = own_cells
+        earlier = np.flatnonzero(rows != own)
+        if earlier.size:
+            values = own_cells.copy()
+            recon = predict_rows(stream, rows[earlier], grid[earlier], exact[earlier], f0)
+            for i, cell in zip(earlier.tolist(), _value_cells(recon)):
+                values[i] = cell
+        serving = rows.tolist()
+        reports = list(dict.fromkeys(serving))
+        rocof = dict(zip(reports, _cells(stream.rocof[reports])))
+        text = list(map(",".join, zip(shared, values, map(rocof.__getitem__, serving),
+                                      map(("0", "1").__getitem__, exact.tolist()))))
+        text.append("")
+        return text
+
+    for stream, files in streams:
+        own_cells = _value_cells(predict_rows(stream, own, grid, own_exact, f0))
+        for fh, kept, kept_rows in files:
+            fh.write("\n".join(lines(stream, own_cells, kept, kept_rows)))
+
+
+def _value_cells(series: TripletSeries) -> list[str]:
+    """The ``re,im,f`` text of each row of ``series``."""
+    return list(map(",".join, zip(*map(_cells, _columns(series)[1:4]))))
 
 
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:

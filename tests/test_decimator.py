@@ -18,7 +18,9 @@ from pmustream.decimator import (
     _deviations,
     decide,
     decimate_stream,
+    grid_serving_rows,
     predict,
+    predict_rows,
     reconstruct,
 )
 from pmustream.errors import DomainError, InvalidInputError, SequencingError
@@ -552,3 +554,48 @@ class TestReconstructMatchesOracle:
         assert [exact for _, exact in oracle] == [True, True, True, False]
         out = reconstruct(TripletSeries.from_triplets(stream), [0, 2], queries, F0, ts=0.01)
         assert out.phasor[1] == stream[2].phasor and out.frequency[1] == stream[2].frequency
+
+
+# ------------------------------------- rigid-grid serving map vs reconstruct
+
+@st.composite
+def grid_chunk_cases(draw):
+    """A report stream whose report h sits on grid row h*r, a kept set of one
+    of three kinds, and a chunk ``lo..hi-1`` of the grid."""
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(1, 40))
+    fs = 100.0 * r
+    noisy = noisy_stream(draw(st.integers(0, 2 ** 32 - 1)), n, draw(st.floats(0.0, 1e-2)))
+    stream = [triplet(h * r / fs, m.phasor, m.frequency, m.rocof) for h, m in enumerate(noisy)]
+    kind = draw(st.sampled_from(["first", "all", "random"]))
+    if kind == "first":
+        kept = [0]
+    elif kind == "all":
+        kept = list(range(n))
+    else:
+        kept = sorted({0} | set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
+    rows = (n - 1) * r + 1
+    start = draw(st.sampled_from(["kept_row", "any"]))
+    lo = draw(st.sampled_from(kept)) * r if start == "kept_row" else draw(st.integers(0, rows - 1))
+    size = draw(st.one_of(st.just(1), st.integers(1, rows - lo)))
+    return stream, np.array(kept), r, fs, lo, lo + size
+
+
+class TestGridServingRows:
+    @settings(max_examples=200)
+    @given(case=grid_chunk_cases())
+    def test_integer_map_and_prediction_equal_reconstruct_bitwise(self, case):
+        stream, kept, r, fs, lo, hi = case
+        series = TripletSeries.from_triplets(stream)
+        grid = np.arange((len(stream) - 1) * r + 1) / fs
+        rows, q, exact = grid_serving_rows(kept, kept * r, grid[lo:hi], lo)
+        np.testing.assert_array_equal(exact, np.isin(np.arange(lo, hi), kept * r))
+        got = predict_rows(series, rows, q, exact, F0)
+        want = reconstruct(series, kept, grid[lo:hi], F0, 1.0 / fs)
+        for name in ("phasor", "frequency", "rocof"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_row_before_first_kept_rejected(self):
+        kept = np.array([1, 3])
+        with pytest.raises(DomainError):
+            grid_serving_rows(kept, kept * 10, np.arange(9, 20) / 1e3, 9)

@@ -531,6 +531,34 @@ class TestTraceWriter:
             want = b"".join(text.splitlines(keepends=True)[:rows + 1])
             assert (tmp_path / name).read_bytes() == want, name
 
+    def test_modes_without_the_full_rate_file_match_oracle(self, run, tmp_path):
+        # rows a stream's own reports serve are shared between its modes; the
+        # sharing must not lean on the full-rate file being written too
+        (traces, *rest), oracle = run
+        names = {"trace_p_iec_adaptive.csv", "trace_p_iec_50fps.csv"}
+        pipeline._write_traces([(tmp_path / path.name, stream, kept)
+                                for path, stream, kept in traces if path.name in names], *rest)
+        assert {p.name for p in tmp_path.iterdir()} == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == oracle[name], name
+
+    def test_cells_formatted_per_grid_row(self, run, tmp_path, monkeypatch):
+        # a work count, not a timing: the per-file writer formatted 45 cells
+        # per grid row on TRACE_CONFIG (5 shared, 5 in each of 8 files)
+        (traces, reference, *rest), _ = run
+        formatted = []
+
+        def counted(values):
+            cells = pipeline_cells(values)
+            formatted.append(len(cells))
+            return cells
+
+        pipeline_cells = pipeline._cells
+        monkeypatch.setattr(pipeline, "_cells", counted)
+        pipeline._write_traces([(tmp_path / path.name, stream, kept)
+                                for path, stream, kept in traces], reference, *rest)
+        assert sum(formatted) / len(reference) <= 21
+
     def test_run_writes_the_oracle_traces(self, run, tmp_path):
         run_experiment(ExperimentConfig(output_dir=str(tmp_path), **TRACE_CONFIG))
         written = {p.name: p.read_bytes() for p in tmp_path.glob("trace_*.csv")}
