@@ -160,19 +160,6 @@ def serving_rows(series: TripletSeries, kept, query_times,
     return kept[idx], q, exact
 
 
-def grid_serving_rows(kept: np.ndarray, kept_rows: np.ndarray, q: np.ndarray,
-                      lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`serving_rows` on a rigid grid, computed in integers: ``q`` holds
-    the times of grid rows ``lo, lo + 1, ...`` and kept report ``kept[i]``
-    sits on grid row ``kept_rows[i]``.  A row is served by the last kept
-    report on or before it, exactly on that report's own row."""
-    if kept_rows[0] > lo:
-        raise DomainError("grid row precedes the first kept triplet")
-    g = np.arange(lo, lo + q.size)
-    idx = np.searchsorted(kept_rows, g, side="right") - 1
-    return kept[idx], q, kept_rows[idx] == g
-
-
 def predict_rows(series: TripletSeries, rows: np.ndarray, q: np.ndarray, exact: np.ndarray,
                  f0: float) -> TripletSeries:
     """Row ``rows[i]`` of ``series`` at time ``q[i]``: verbatim where

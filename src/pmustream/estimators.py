@@ -122,7 +122,7 @@ class EstimatorKind:
         """Samples needed after a reporting instant."""
         if self.algorithm == "p_iec":
             return config.m
-        return 3 * config.m // 2 - 1
+        return 3 * config.m - 3 * config.m // 2 - 1
 
     def estimate(self, block: SampleBlock, config: EstimatorConfig,
                  t_report: float) -> MeasurementTriplet:
@@ -287,7 +287,8 @@ def _ipdft_windows(block: SampleBlock, centers: np.ndarray, config: EstimatorCon
     have shape ``(B,)`` and the frequencies ``(3, B)``.
     """
     n = 3 * config.m
-    starts = centers - n // 2
+    h = n // 2  # samples from the window start to its centre
+    starts = centers - h
     if starts.min() < 0 or starts.max() + n > block.n:
         raise InvalidInputError("sample window too short for the three-cycle spectrum")
 
@@ -309,7 +310,10 @@ def _ipdft_windows(block: SampleBlock, centers: np.ndarray, config: EstimatorCon
     coeff = work[..., 1] / _hann_spectrum(-delta, n)
     nu = IPDFT_K0 + delta
     t_center = (block.start_index + centers) / config.fs
-    phasors = SQRT2 * coeff * np.exp(1j * math.pi * (nu - 2.0 * config.f0 * t_center))
+    # the centre is h samples past the start: a phase advance of 2*pi*nu*h/n,
+    # which is pi*nu exactly when n is even
+    phasors = SQRT2 * coeff * np.exp(1j * math.pi * (nu * (2 * h / n)
+                                                     - 2.0 * config.f0 * t_center))
     return fortescue_positive(phasors[0], phasors[1], phasors[2]), nu * (config.fs / n)
 
 

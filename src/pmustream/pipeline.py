@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decimator import Thresholds, decimate_stream, grid_serving_rows, predict_rows
+from .decimator import Thresholds, decimate_stream, predict_rows, reconstruct, serving_rows
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError, with_context
 from .estimators import (
     ALGORITHMS,
@@ -227,9 +227,8 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
 
         for mode, divisor in config.modes:
             kept = adaptive_kept if divisor is None else np.arange(0, total, divisor)
-            try:  # report k sits on grid row k*r
-                series = predict_rows(stream, *grid_serving_rows(kept, kept * est.r, grid, 0),
-                                      config.f0)
+            try:
+                series = reconstruct(stream, kept, grid, config.f0, est.ts)
                 tre = tracking_indices(series, reference, config.tre_formula)
             except (PmuStreamError, ArithmeticError) as exc:
                 raise with_context(exc, f"{name} {mode}")
@@ -358,30 +357,29 @@ def _write_traces(traces, reference: TripletSeries, f0: float, est: EstimatorCon
         for path, stream, kept in traces:
             fh = stack.enter_context(path.open("w", encoding="utf-8"))
             fh.write(header)
-            streams.setdefault(id(stream), (stream, []))[1].append((fh, kept, kept * est.r))
+            streams.setdefault(id(stream), (stream, []))[1].append((fh, kept))
         for lo in range(0, reference.t.size, TRACE_CHUNK_ROWS):
-            _write_trace_chunk(streams.values(), reference, lo, est.r, f0)
+            _write_trace_chunk(streams.values(), reference, lo, f0, est.ts)
 
 
-def _write_trace_chunk(streams, reference: TripletSeries, lo: int, r: int, f0: float) -> None:
+def _write_trace_chunk(streams, reference: TripletSeries, lo: int, f0: float,
+                       ts: float) -> None:
     """The rows of the grid chunk at ``lo`` in every file of ``_write_traces``.
 
     The time and reference cells are formatted once for all files.  A row
-    served by its own report (``g // r``) has the same value in every mode,
-    so its cells are formatted once per stream; each file formats only the
-    rows it serves from an earlier report, and its held ROCOF once per
-    serving report.  What a chunk formats is dropped before the next one."""
+    served by its own report (the one that serves it at the stream's full
+    rate) has the same value in every mode, so its cells are formatted once
+    per stream; each file formats only the rows it serves from an earlier
+    report, and its held ROCOF once per serving report.  What a chunk formats
+    is dropped before the next one."""
     grid = reference.t[lo:lo + TRACE_CHUNK_ROWS]
     hi = lo + grid.size
     shared = list(map(",".join, zip(*(_cells(c[lo:hi]) for c in _columns(reference)))))
-    own = np.arange(lo, hi)
-    own_exact = own % r == 0
-    own //= r
 
-    def lines(stream, own_cells, kept, kept_rows) -> list[str]:
+    def lines(stream, own, own_cells, kept) -> list[str]:
         # one file's lines and a last empty one; the cells formatted for them
         # are dropped on return, before the lines are joined
-        rows, _, exact = grid_serving_rows(kept, kept_rows, grid, lo)
+        rows, _, exact = serving_rows(stream, kept, grid, ts)
         values = own_cells
         earlier = np.flatnonzero(rows != own)
         if earlier.size:
@@ -398,14 +396,30 @@ def _write_trace_chunk(streams, reference: TripletSeries, lo: int, r: int, f0: f
         return text
 
     for stream, files in streams:
+        own, _, own_exact = serving_rows(stream, np.arange(len(stream)), grid, ts)
         own_cells = _value_cells(predict_rows(stream, own, grid, own_exact, f0))
-        for fh, kept, kept_rows in files:
-            fh.write("\n".join(lines(stream, own_cells, kept, kept_rows)))
+        for fh, kept in files:
+            fh.write("\n".join(lines(stream, own, own_cells, kept)))
 
 
 def _value_cells(series: TripletSeries) -> list[str]:
     """The ``re,im,f`` text of each row of ``series``."""
     return list(map(",".join, zip(*map(_cells, _columns(series)[1:4]))))
+
+
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+# INI section -> key -> cast of its text.  A key sets the ExperimentConfig or
+# Thresholds field of its name; profile and out_dir set the fields in KEY_FIELDS
+CONFIG_KEYS = {
+    "experiment": dict(profile=str, f0=float, fs=float, rr_in=float, phase0=float,
+                       ipdft_iterations=int, algorithms=_split, tre_formula=str, out_dir=str,
+                       fixed_baselines=lambda text: tuple(map(int, _split(text)))),
+    "thresholds": {f.name: float for f in fields(Thresholds)},
+}
+KEY_FIELDS = {"profile": "profile_path", "out_dir": "output_dir"}
 
 
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
@@ -424,30 +438,22 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    thr = parser["thresholds"] if parser.has_section("thresholds") else {}
-
-    def _split(text: str) -> list[str]:
-        return [item.strip() for item in text.split(",") if item.strip()]
+    if parser.defaults():  # its keys would reach every section
+        raise ConfigError(f"unknown section [{parser.default_section}] of config {path}")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}] of config {path}")
+        for key in parser[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}] of config {path}")
 
     values: dict = {}
+    thr: dict = {}
     try:
-        if "profile" in exp:
-            values["profile_path"] = exp["profile"]
-        for key, cast in (("f0", float), ("fs", float), ("rr_in", float),
-                          ("phase0", float), ("ipdft_iterations", int)):
-            if key in exp:
-                values[key] = cast(exp[key])
-        if "algorithms" in exp:
-            values["algorithms"] = tuple(_split(exp["algorithms"]))
-        if "fixed_baselines" in exp:
-            values["fixed_baselines"] = tuple(int(d) for d in _split(exp["fixed_baselines"]))
-        if "tre_formula" in exp:
-            values["tre_formula"] = exp["tre_formula"]
-        if "out_dir" in exp:
-            values["output_dir"] = exp["out_dir"]
-        thresholds = Thresholds(**{f.name: float(thr.get(f.name, f.default))
-                                   for f in fields(Thresholds)})
+        for section, target in (("experiment", values), ("thresholds", thr)):
+            for key, text in parser[section].items() if parser.has_section(section) else ():
+                target[KEY_FIELDS.get(key, key)] = CONFIG_KEYS[section][key](text)
+        thresholds = Thresholds(**thr)
     except (ValueError, InvalidInputError, configparser.Error) as exc:
         raise ConfigError(f"bad value in config {path}: {exc}") from exc
     overrides = {k: v for k, v in overrides.items() if v is not None}

@@ -18,10 +18,9 @@ from pmustream.decimator import (
     _deviations,
     decide,
     decimate_stream,
-    grid_serving_rows,
     predict,
-    predict_rows,
     reconstruct,
+    serving_rows,
 )
 from pmustream.errors import DomainError, InvalidInputError, SequencingError
 from pmustream.estimators import MeasurementTriplet, TripletSeries
@@ -556,7 +555,7 @@ class TestReconstructMatchesOracle:
         assert out.phasor[1] == stream[2].phasor and out.frequency[1] == stream[2].frequency
 
 
-# ------------------------------------- rigid-grid serving map vs reconstruct
+# ------------------------------------------ rigid-grid chunks of reconstruct
 
 @st.composite
 def grid_chunk_cases(draw):
@@ -581,21 +580,18 @@ def grid_chunk_cases(draw):
     return stream, np.array(kept), r, fs, lo, lo + size
 
 
-class TestGridServingRows:
+class TestGridChunks:
     @settings(max_examples=200)
     @given(case=grid_chunk_cases())
-    def test_integer_map_and_prediction_equal_reconstruct_bitwise(self, case):
+    def test_chunk_equals_whole_grid_slice_bitwise(self, case):
+        # the pipeline scores the whole grid and writes its traces in chunks:
+        # a chunk must hold the values scored, and flag exactly the kept rows
         stream, kept, r, fs, lo, hi = case
         series = TripletSeries.from_triplets(stream)
         grid = np.arange((len(stream) - 1) * r + 1) / fs
-        rows, q, exact = grid_serving_rows(kept, kept * r, grid[lo:hi], lo)
+        _, _, exact = serving_rows(series, kept, grid[lo:hi], 1.0 / fs)
         np.testing.assert_array_equal(exact, np.isin(np.arange(lo, hi), kept * r))
-        got = predict_rows(series, rows, q, exact, F0)
-        want = reconstruct(series, kept, grid[lo:hi], F0, 1.0 / fs)
+        got = reconstruct(series, kept, grid[lo:hi], F0, 1.0 / fs)
+        whole = reconstruct(series, kept, grid, F0, 1.0 / fs)
         for name in ("phasor", "frequency", "rocof"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-    def test_row_before_first_kept_rejected(self):
-        kept = np.array([1, 3])
-        with pytest.raises(DomainError):
-            grid_serving_rows(kept, kept * 10, np.arange(9, 20) / 1e3, 9)
+            assert getattr(got, name).tobytes() == getattr(whole, name)[lo:hi].tobytes(), name

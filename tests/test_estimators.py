@@ -39,16 +39,20 @@ from pmustream.waveform import (
 )
 
 CFG = EstimatorConfig()
+# an odd number of samples per cycle: m = 201, so the i_ipdft window of 3m
+# samples has no middle sample boundary
+ODD_M_CFG = EstimatorConfig(fs=10_050.0, internal_rate=50.0)
 
 
 def series(*points) -> AnchorSeries:
     return AnchorSeries.from_points(points)
 
 
-def steady_gt(freq=50.0, amp=230.0, span=3.0) -> GroundTruth:
+def steady_gt(freq=50.0, amp=230.0, span=3.0, fs=CFG.fs) -> GroundTruth:
     return GroundTruth.from_anchors(
         series((0.0, amp), (span, amp)),
         series((0.0, freq), (span, freq)),
+        fs=fs,
     )
 
 
@@ -132,12 +136,15 @@ class TestPIecEstimate:
 
 class TestIpdftEstimate:
     def test_steady_nominal_two_iterations(self):
-        gt = steady_gt()
-        block = block_for(gt)
-        m = ipdft_estimate(block, CFG, 1.0, iterations=2)
-        ref, _, _ = eval_reference(gt, 1.0)
-        assert tve_of(m.phasor, ref) < 1e-8
-        assert m.frequency == pytest.approx(50.0, abs=1e-9)
+        # with m odd the window centre sits half a sample off the middle of
+        # the window: a phase advance of pi*nu read 1.56 % TVE at m = 201
+        for cfg in (CFG, ODD_M_CFG):
+            gt = steady_gt(fs=cfg.fs)
+            block = block_for(gt)
+            m = ipdft_estimate(block, cfg, 1.0, iterations=2)
+            ref, _, _ = eval_reference(gt, 1.0)
+            assert tve_of(m.phasor, ref) < 1e-8, cfg.m
+            assert m.frequency == pytest.approx(50.0, abs=1e-9), cfg.m
 
     def test_steady_off_nominal_p_class(self):
         gt = steady_gt(freq=50.5)
@@ -535,18 +542,34 @@ class TestRunEstimator:
     def test_one_coverage_rule_for_model_and_block(self, algorithm):
         # both sources admit exactly the reports whose windows they hold
         kind = EstimatorKind(algorithm)
-        gt = steady_gt(span=1.0)
-        n_lo, n_hi = gt.sample_span
-        block = synth_three_phase(gt, 0.0, n_hi - n_lo + 1)
-        assert block.sample_span == (n_lo, n_hi)
-        first, last = kind.left_margin(CFG), n_hi - kind.right_margin(CFG)
-        t_first, t_last = first / CFG.fs, last / CFG.fs
-        for source in (gt, block):
-            triplets = run_estimator(kind, source, CFG, t_first, t_last)
-            assert len(triplets) == (last - first) // CFG.r + 1
-            for t_start, t_end in ((t_first - CFG.ts, t_last), (t_first, t_last + CFG.ts)):
-                with pytest.raises(InvalidInputError, match="estimator windows need samples"):
-                    run_estimator(kind, source, CFG, t_start, t_end)
+        for cfg in (CFG, ODD_M_CFG):
+            gt = steady_gt(span=1.0, fs=cfg.fs)
+            n_lo, n_hi = gt.sample_span
+            block = synth_three_phase(gt, 0.0, n_hi - n_lo + 1)
+            assert block.sample_span == (n_lo, n_hi)
+            first, last = kind.left_margin(cfg), n_hi - kind.right_margin(cfg)
+            t_first, t_last = first / cfg.fs, last / cfg.fs
+            for source in (gt, block):
+                triplets = run_estimator(kind, source, cfg, t_first, t_last)
+                assert len(triplets) == (last - first) // cfg.r + 1
+                for t_start, t_end in ((t_first - cfg.ts, t_last), (t_first, t_last + cfg.ts)):
+                    with pytest.raises(InvalidInputError, match="estimator windows need samples"):
+                        run_estimator(kind, source, cfg, t_start, t_end)
+
+    @pytest.mark.parametrize("algorithm", ["p_iec", "i_ipdft"])
+    def test_margins_are_the_window_extent(self, algorithm):
+        # a report left_margin samples past a block's first sample and
+        # right_margin before its last is estimable, and one sample less on
+        # either side is not; at m = 201 the i_ipdft right margin was one short
+        kind = EstimatorKind(algorithm)
+        for cfg in (CFG, ODD_M_CFG):
+            left, right = kind.left_margin(cfg), kind.right_margin(cfg)
+            block = synth_three_phase(steady_gt(span=1.0, fs=cfg.fs), 0.0, left + right + 1)
+            kind.estimate(block, cfg, left / cfg.fs)
+            for start, size in ((0, left + right), (1 / cfg.fs, left + right)):
+                short = synth_three_phase(steady_gt(span=1.0, fs=cfg.fs), start, size)
+                with pytest.raises(InvalidInputError):
+                    kind.estimate(short, cfg, left / cfg.fs)
 
     def test_failure_names_report_time_and_keeps_type(self):
         # 0 V from 1.0 s: the first report whose current window is all zero

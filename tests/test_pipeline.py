@@ -458,6 +458,23 @@ class TestRunExperiment:
         assert len(reports) == 2 * 4
         assert len(calls) == 1
 
+    def test_scored_through_reconstruct(self, tmp_path, monkeypatch):
+        # one receiver rule: every (algorithm, mode) is scored from the view
+        # reconstruct builds on the whole grid
+        calls = []
+
+        def counted(series, kept, query_times, f0, ts):
+            calls.append(np.size(query_times))
+            return reconstruct(series, kept, query_times, f0, ts)
+
+        monkeypatch.setattr(pipeline, "reconstruct", counted)
+        config = ExperimentConfig(profile_path="ramp_amplitude_modulation",
+                                  fixed_baselines=(10, 20), output_dir=str(tmp_path / "out"))
+        reports = run_experiment(config)
+        assert len(calls) == len(reports) == 2 * 4
+        _, n_first, n_last, _, _ = evaluation_window(config)
+        assert set(calls) == {n_last - n_first + 1}
+
 
 # ------------------------------------------------------------ trace writer
 
@@ -626,15 +643,21 @@ class TestLoadConfig:
             "algorithms = p_iec\n"
             "fixed_baselines = 2, 10\n"
             "out_dir = somewhere\n"
+            "f0 = 60\nfs = 12000\nrr_in = 120\nphase0 = 0.5\n"
+            "ipdft_iterations = 2\ntre_formula = printed\n"
             "[thresholds]\n"
-            "delta_fe = 2e-3\n",
+            "delta_fe = 2e-3\n"
+            "delta_rfe = 0.1\n",
             encoding="utf-8",
         )
         config = load_config(ini)
         assert config.profile_path == "steady_nominal"
         assert config.algorithms == ("p_iec",)
         assert config.fixed_baselines == (2, 10)
+        assert (config.f0, config.fs, config.rr_in, config.phase0) == (60.0, 12e3, 120.0, 0.5)
+        assert (config.ipdft_iterations, config.tre_formula) == (2, "printed")
         assert config.thresholds.delta_fe == 2e-3
+        assert config.thresholds.delta_rfe == 0.1
         assert config.thresholds.delta_tve == 1e-3
 
         config = load_config(ini, delta_fe=5e-3, output_dir="elsewhere")
@@ -651,6 +674,26 @@ class TestLoadConfig:
         ini = write_bytes(tmp_path, b"[experiment]\nprofile = \xff\n", "exp.ini")
         with pytest.raises(ConfigError, match="cannot parse config"):
             load_config(ini)
+
+    @pytest.mark.parametrize("body, name", [
+        ("[experiment]\nprofile = steady_nominal\nalgoritms = i_ipdft\n", "key 'algoritms'"),
+        ("[experiment]\nprofile = steady_nominal\nfixed_baseline = 10\n",
+         "key 'fixed_baseline'"),
+        ("[experiment]\nprofile = steady_nominal\n[threshold]\ndelta_fe = 1\n",
+         r"section \[threshold\]"),
+        ("[experiment]\nprofile = steady_nominal\n[thresholds]\nprofile = x\n", "key 'profile'"),
+        ("[DEFAULT]\nprofile = steady_nominal\n", r"section \[DEFAULT\]"),
+    ])
+    def test_unknown_key_or_section_rejected(self, tmp_path, body, name):
+        # a misspelt key used to load silently as its default
+        ini = tmp_path / "exp.ini"
+        ini.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown {name}"):
+            load_config(ini)
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(ini),
+                                               "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------------- CLI
