@@ -10,8 +10,8 @@ import click
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError
 from .estimators import ALGORITHMS
 from .metrics import TRE_FORMULAS
-from .pipeline import (ExperimentConfig, evaluation_window, list_profiles, load_config,
-                       run_experiment)
+from .pipeline import (CONFIG_KEYS, ExperimentConfig, evaluation_window, list_profiles,
+                       load_config, run_experiment)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -31,41 +31,26 @@ def main():
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="INI experiment file; CLI flags override its keys.")
-@click.option("--profile", default=None, help="Profile CSV path or bundled profile name.")
+@click.option("--profile", "profile_path", default=None,
+              help="Profile CSV path or bundled profile name.")
 @click.option("--algo", "algorithms", multiple=True,
               type=click.Choice(ALGORITHMS), help="Algorithm(s) to run.")
 @click.option("--delta-tve", type=float, default=None, help="Phasor deviation threshold.")
 @click.option("--delta-fe", type=float, default=None, help="Frequency threshold [Hz].")
 @click.option("--delta-rfe", type=float, default=None, help="ROCOF threshold [Hz/s].")
-@click.option("--fixed", default=None, help="Comma-separated fixed-rate divisors, e.g. 2,10.")
+@click.option("--fixed", "fixed_baselines", type=CONFIG_KEYS["experiment"]["fixed_baselines"],
+              metavar="D[,D...]", default=None,
+              help="Comma-separated fixed-rate divisors, e.g. 2,10.")
 @click.option("--out", "output_dir", type=click.Path(), default=None, help="Output directory.")
 @click.option("--tre-formula", type=click.Choice(TRE_FORMULAS), default=None)
 @click.option("--emit-decisions", is_flag=True, default=False,
               help="Write the full per-frame decision log.")
 @click.option("--emit-traces", is_flag=True, default=False,
               help="Write dense reconstructed-vs-reference traces.")
-def run(config_path, profile, algorithms, delta_tve, delta_fe, delta_rfe,
-        fixed, output_dir, tre_formula, emit_decisions, emit_traces):
+def run(config_path, algorithms, **flags):
     """Run one experiment and write tables, logs and plot data."""
-    overrides = {
-        "profile_path": profile,
-        "algorithms": tuple(algorithms) or None,
-        "output_dir": output_dir,
-        "tre_formula": tre_formula,
-        "emit_decisions": emit_decisions or None,
-        "emit_traces": emit_traces or None,
-        "delta_tve": delta_tve,
-        "delta_fe": delta_fe,
-        "delta_rfe": delta_rfe,
-    }
-    if fixed is not None:
-        try:
-            overrides["fixed_baselines"] = tuple(
-                int(d) for d in fixed.split(",") if d.strip())
-        except ValueError:
-            _fail(f"--fixed expects comma-separated integers, got {fixed!r}", EXIT_CONFIG)
     try:
-        config = load_config(config_path, **overrides)
+        config = load_config(config_path, algorithms=algorithms or None, **flags)
     except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_CONFIG)
 

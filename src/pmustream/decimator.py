@@ -53,7 +53,7 @@ class DecisionRecord:
 
     t: float
     kept: bool
-    epsilon: np.ndarray | None
+    epsilon: tuple[float, float, float] | None
     binding_quantity: str
 
 
@@ -98,8 +98,8 @@ def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
     top = max(eps)
     if top > 1.0:  # strictly above threshold
         binding = QUANTITY_NAMES[eps.index(top)]  # first maximum, as np.argmax
-        return DecisionRecord(incoming.t, True, np.array(eps), binding), incoming
-    return DecisionRecord(incoming.t, False, np.array(eps), "none"), last_kept
+        return DecisionRecord(incoming.t, True, eps, binding), incoming
+    return DecisionRecord(incoming.t, False, eps, "none"), last_kept
 
 
 class Decimator:

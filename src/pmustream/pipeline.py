@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -130,7 +130,7 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
 
@@ -325,7 +325,7 @@ def _write_frames(path: Path, stream: TripletSeries, records: list, rows: np.nda
         if decisions:
             frame["kept"] = rec.kept
             frame["eps"] = (None if rec.epsilon is None else
-                            [e if math.isfinite(e) else None for e in rec.epsilon.tolist()])
+                            [e if math.isfinite(e) else None for e in rec.epsilon])
         lines.append(json.dumps(frame, allow_nan=False))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -425,8 +425,9 @@ KEY_FIELDS = {"profile": "profile_path", "out_dir": "output_dir"}
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
     """Read an INI-style experiment file; keyword overrides win over file keys.
 
-    With ``path`` None no file is read: the overrides and the defaults make the
-    whole config.
+    An override is named by the ExperimentConfig or Thresholds field it sets,
+    and None leaves that field to the file or the default.  With ``path`` None
+    no file is read: the overrides and the defaults make the whole config.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if path is not None:
@@ -434,7 +435,7 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist")
         try:
-            parser.read(path, encoding="utf-8")
+            parser.read(path, encoding="utf-8-sig")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
@@ -453,16 +454,15 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
         for section, target in (("experiment", values), ("thresholds", thr)):
             for key, text in parser[section].items() if parser.has_section(section) else ():
                 target[KEY_FIELDS.get(key, key)] = CONFIG_KEYS[section][key](text)
-        thresholds = Thresholds(**thr)
-    except (ValueError, InvalidInputError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad value in config {path}: {exc}") from exc
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    threshold_overrides = {f.name: overrides.pop(f.name) for f in fields(Thresholds)
-                           if f.name in overrides}
-    if threshold_overrides:
-        thresholds = replace(thresholds, **threshold_overrides)
-    values["thresholds"] = thresholds
-    values.update(overrides)
+    for name, value in overrides.items():
+        if value is not None:
+            (thr if name in CONFIG_KEYS["thresholds"] else values)[name] = value
+    try:
+        values["thresholds"] = Thresholds(**thr)
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad threshold: {exc}") from exc
     if "profile_path" not in values:
         raise ConfigError("no profile given (config key 'profile' or --profile)")
     try:

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmustream import pipeline
+from pmustream import cli, pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, InvalidInputError, ProfileError
@@ -76,6 +76,7 @@ frequency_Hz,8,50
 """
 
 HUGE_DIVISOR = "1" + "0" * 400  # too large for a float rate
+BOM = "\ufeff".encode()  # UTF-8 byte-order mark
 
 # evaluation_window of every bundled profile under the default config, as the
 # earlier edge rule (ceil/floor of lo*fs -/+ 1e-9) gave it
@@ -675,6 +676,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse config"):
             load_config(ini)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        body = b"[experiment]\nprofile = steady_nominal\nfixed_baselines = 2, 10\n"
+        plain = load_config(write_bytes(tmp_path, body, "plain.ini"))
+        assert load_config(write_bytes(tmp_path, BOM + body, "bom.ini")) == plain
+        assert plain.fixed_baselines == (2, 10)
+
     @pytest.mark.parametrize("body, name", [
         ("[experiment]\nprofile = steady_nominal\nalgoritms = i_ipdft\n", "key 'algoritms'"),
         ("[experiment]\nprofile = steady_nominal\nfixed_baseline = 10\n",
@@ -733,6 +740,19 @@ class TestCli:
             result = CliRunner().invoke(cli_main, argv)
             assert result.exit_code == 2, (argv, result.output)
             assert "error:" in result.output
+
+    def test_byte_order_mark_validates_and_runs_alike(self, tmp_path, monkeypatch):
+        summaries = []
+        for name, body in (("plain", MINIMAL.encode()), ("bom", BOM + MINIMAL.encode())):
+            (tmp_path / name).mkdir()
+            write_bytes(tmp_path / name, body, "p.csv")
+            monkeypatch.chdir(tmp_path / name)  # summary.json names the profile path
+            result = CliRunner().invoke(cli_main, ["validate", "--profile", "p.csv"])
+            assert result.exit_code == 0, (name, result.output)
+            result = CliRunner().invoke(cli_main, ["run", "--profile", "p.csv", "--out", "o"])
+            assert result.exit_code == 0, (name, result.output)
+            summaries.append((tmp_path / name / "o" / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
 
     def test_run_without_inputs_exit_2(self):
         result = CliRunner().invoke(cli_main, ["run"])
@@ -824,6 +844,100 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert (out / "summary.json").is_file()
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_config(monkeypatch, argv) -> ExperimentConfig:
+    """The ExperimentConfig that ``pmustream run`` builds from ``argv``; the
+    experiment itself does not run."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    result = CliRunner().invoke(cli_main, ["run", *argv])
+    assert isinstance(result.exception, _Captured), result.output
+    return seen[0]
+
+
+# each flag and the INI text of the key it sets, to a value other than the default
+FLAG_KEYS = {
+    "profile": (["--profile", "ramp_amplitude_modulation"],
+                "[experiment]\nprofile = ramp_amplitude_modulation\n"),
+    "algo": (["--algo", "i_ipdft"], "[experiment]\nalgorithms = i_ipdft\n"),
+    "algo_twice": (["--algo", "i_ipdft", "--algo", "p_iec"],
+                   "[experiment]\nalgorithms = i_ipdft, p_iec\n"),
+    "fixed": (["--fixed", " 10,2,,5 "], "[experiment]\nfixed_baselines =  10,2,,5\n"),
+    "fixed_empty": (["--fixed", ""], "[experiment]\nfixed_baselines =\n"),
+    "out": (["--out", "elsewhere"], "[experiment]\nout_dir = elsewhere\n"),
+    "tre_formula": (["--tre-formula", "printed"], "[experiment]\ntre_formula = printed\n"),
+    "delta_tve": (["--delta-tve", "2e-3"], "[thresholds]\ndelta_tve = 2e-3\n"),
+    "delta_fe": (["--delta-fe", "0.005"], "[thresholds]\ndelta_fe = 0.005\n"),
+    "delta_rfe": (["--delta-rfe", "1e-1"], "[thresholds]\ndelta_rfe = 1e-1\n"),
+}
+
+
+class TestFlagsMatchKeys:
+    """A flag sets the config field its INI key sets, parsed the same way."""
+
+    @pytest.mark.parametrize("case", sorted(FLAG_KEYS))
+    def test_flag_loads_as_its_key(self, tmp_path, monkeypatch, case):
+        flags, text = FLAG_KEYS[case]
+        if case != "profile":
+            flags = ["--profile", "steady_nominal", *flags]
+            text = "[experiment]\nprofile = steady_nominal\n" + text.replace(
+                "[experiment]\n", "")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text, encoding="utf-8")
+        want = load_config(ini)
+        assert want != load_config(None, profile_path="steady_nominal")
+        assert captured_config(monkeypatch, flags) == want
+        # and with the file and the flag both given
+        assert captured_config(monkeypatch, ["--config", str(ini), *flags]) == want
+
+    def test_flag_wins_over_its_key(self, tmp_path, monkeypatch):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nprofile = steady_nominal\nfixed_baselines = 10\n"
+                       "out_dir = a\n[thresholds]\ndelta_fe = 2e-3\ndelta_rfe = 0.1\n",
+                       encoding="utf-8")
+        config = captured_config(monkeypatch, ["--config", str(ini), "--fixed", "5",
+                                               "--out", "b", "--delta-fe", "4e-3"])
+        assert config == load_config(ini, fixed_baselines=(5,), output_dir="b",
+                                     delta_fe=4e-3)
+        assert (config.fixed_baselines, config.output_dir) == ((5,), "b")
+        assert config.thresholds == Thresholds(delta_fe=4e-3, delta_rfe=0.1)
+
+    def test_non_integer_divisor_exit_2(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nprofile = steady_nominal\nfixed_baselines = 2.0\n",
+                       encoding="utf-8")
+        for argv in (["--profile", "steady_nominal", "--fixed", "2.0"], ["--config", str(ini)]):
+            result = CliRunner().invoke(cli_main, ["run", *argv, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, (argv, result.output)
+            assert not (tmp_path / "o").exists()
+        assert "Invalid value for '--fixed'" in invoke(
+            "run", "--profile", "steady_nominal", "--fixed", "abc").output
+
+    @pytest.mark.parametrize("name", ["delta_tve", "delta_fe", "delta_rfe"])
+    def test_bad_threshold_flag_or_key_exit_2(self, tmp_path, name):
+        # one error from either source; a bad flag used to raise from
+        # dataclasses.replace with no "bad threshold" in its message
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nprofile = steady_nominal\n[thresholds]\n{name} = 0\n",
+                       encoding="utf-8")
+        flag = "--" + name.replace("_", "-")
+        for argv in (["--profile", "steady_nominal", flag, "0"], ["--config", str(ini)],
+                     ["--profile", "steady_nominal", flag, "nan"],
+                     ["--config", str(ini), flag, "-1"]):
+            result = CliRunner().invoke(cli_main, ["run", *argv, "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, (argv, result.output)
+            assert result.output == (f"error: bad threshold: {name} must be finite and "
+                                     "strictly positive\n")
 
 
 # ------------------------------------------------------- profile acceptance
