@@ -432,12 +432,10 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if path is not None:
         path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            parser.read(path, encoding="utf-8-sig")
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        try:  # OSError: a missing file, a directory or a refused read
+            parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
+        except (OSError, configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     if parser.defaults():  # its keys would reach every section
         raise ConfigError(f"unknown section [{parser.default_section}] of config {path}")

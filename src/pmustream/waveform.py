@@ -171,14 +171,11 @@ def _shift_origin(coeffs: np.ndarray, s: float) -> np.ndarray:
     """Re-express a local polynomial around an origin shifted by ``s``."""
     deg = coeffs.size - 1
     shifted = np.empty_like(coeffs)
-    work = coeffs.copy()
-    powers = np.arange(deg, 0, -1, dtype=float)
+    work = coeffs
     fact = 1.0
     for k in range(deg + 1):
         shifted[deg - k] = _horner(work, s) / fact
-        work = work[:-1] * powers[k:] if work.size > 1 else np.array([])
-        if work.size == 0:
-            work = np.array([0.0])
+        work = work[:-1] * np.arange(work.size - 1, 0, -1)  # the next derivative
         fact *= k + 1
     return shifted
 
@@ -196,41 +193,29 @@ def pchip_fit(anchors: AnchorSeries) -> PiecewisePoly:
     y = anchors.values
     h = np.diff(x)
     d = np.diff(y) / h
-    n = x.size
+    interior = np.where(d[:-1] * d[1:] <= 0, 0.0, 0.5 * (d[:-1] + d[1:]))
+    m = np.concatenate((d[:1], interior, d[-1:]))
 
-    m = np.empty(n)
-    m[0] = d[0]
-    m[-1] = d[-1]
-    for i in range(1, n - 1):
-        m[i] = 0.0 if d[i - 1] * d[i] <= 0 else 0.5 * (d[i - 1] + d[i])
-
-    for i in range(n - 1):
+    # left to right: step i may scale back m[i + 1], the slope step i + 1
+    # starts from.  A slope is zero or has its secants' sign, and steps only
+    # zero it or scale it by tau > 0, so neither a nor b is ever negative
+    for i in range(d.size):
         if d[i] == 0.0:
-            m[i] = 0.0
-            m[i + 1] = 0.0
+            m[i] = m[i + 1] = 0.0
             continue
         a = m[i] / d[i]
         b = m[i + 1] / d[i]
-        if a < 0:
-            m[i] = 0.0
-            a = 0.0
-        if b < 0:
-            m[i + 1] = 0.0
-            b = 0.0
         s = a * a + b * b
         if s > 9.0:
             tau = 3.0 / math.sqrt(s)
             m[i] = tau * a * d[i]
             m[i + 1] = tau * b * d[i]
 
-    coeffs = np.empty((n - 1, 4))
-    for i in range(n - 1):
-        hi = h[i]
-        di = (y[i + 1] - y[i]) / hi
-        coeffs[i, 3] = y[i]
-        coeffs[i, 2] = m[i]
-        coeffs[i, 1] = (3.0 * di - 2.0 * m[i] - m[i + 1]) / hi
-        coeffs[i, 0] = (m[i] + m[i + 1] - 2.0 * di) / (hi * hi)
+    coeffs = np.empty((d.size, 4))
+    coeffs[:, 3] = y[:-1]
+    coeffs[:, 2] = m[:-1]
+    coeffs[:, 1] = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h
+    coeffs[:, 0] = (m[:-1] + m[1:] - 2.0 * d) / (h * h)
     return PiecewisePoly(x, coeffs)
 
 
@@ -299,12 +284,8 @@ class GroundTruth:
                                     f"reach 2**51 samples at fs = {fs} Hz; shift them toward 0")
         if not math.isfinite(phase0):
             raise InvalidInputError(f"phase0 must be finite, got {phase0}")
-        amp = pchip_fit(amplitude_anchors)
-        freq = pchip_fit(frequency_anchors)
-        if amp.domain != (lo, hi):
-            amp = amp.restrict(lo, hi)
-        if freq.domain != (lo, hi):
-            freq = freq.restrict(lo, hi)
+        amp = pchip_fit(amplitude_anchors).restrict(lo, hi)
+        freq = pchip_fit(frequency_anchors).restrict(lo, hi)
         return cls(
             amplitude=amp,
             frequency=freq,

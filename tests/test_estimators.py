@@ -524,6 +524,15 @@ class TestRunEstimator:
         with pytest.raises(InvalidInputError):
             run_estimator(EstimatorKind("i_ipdft"), gt, CFG, 0.0, 1.0)
 
+    @pytest.mark.parametrize("freq, t_start, t_end, error, message", [
+        (120.0, 1.0, 1.2, DegenerateSignalError,
+         r"frequency estimate \S+ Hz outside \(0, 100\.0\) Hz"),
+        (50.0, 1.2, 1.0, InvalidInputError, "t_end must not precede t_start"),
+    ], ids=["frequency_past_2f0", "reversed_range"])
+    def test_rejected_run(self, freq, t_start, t_end, error, message):
+        with pytest.raises(error, match=message):
+            run_estimator(EstimatorKind("p_iec"), steady_gt(freq=freq), CFG, t_start, t_end)
+
     @pytest.mark.parametrize("algorithm", ["p_iec", "i_ipdft"])
     def test_block_sampling_rate_must_match_config(self, algorithm):
         # read as 10 kHz samples, a 50 Hz signal sampled at 8 kHz reports 62.5 Hz

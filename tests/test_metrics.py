@@ -11,7 +11,7 @@ import pytest
 from pmustream.decimator import reconstruct
 from pmustream.errors import InvalidInputError, UndefinedMetricError
 from pmustream.estimators import MeasurementTriplet, TripletSeries
-from pmustream.metrics import instantaneous_rr, tracking_indices
+from pmustream.metrics import TrackingReport, instantaneous_rr, tracking_indices
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
 from test_acceptance import nearest_divisor_rate
 
@@ -214,6 +214,22 @@ class TestTrackingIndices:
             tracking_indices(series, reference_series(gt, times + 1e-3))
         with pytest.raises(InvalidInputError):
             tracking_indices(series, reference_series(gt, times[:-1]))
+
+    def test_unknown_formula_rejected(self):
+        series = reference_series(steady_gt(), np.arange(0.0, 1.0, 1e-2))
+        with pytest.raises(InvalidInputError, match="unknown tracking formula 'x'"):
+            tracking_indices(series, series, formula="x")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kept_count", 0, "at least one kept measurement"),
+        ("tre_fe", math.nan, "finite and non-negative"),
+        ("tre_rfe", -1.0, "finite and non-negative"),
+    ])
+    def test_report_rejects_bad_field(self, field, value, message):
+        fields = dict(tre_tve=0.1, tre_fe=1.0, tre_rfe=0.01, kept_count=10, total_count=100)
+        TrackingReport(**fields)
+        with pytest.raises(InvalidInputError, match=message):
+            TrackingReport(**{**fields, field: value})
 
 
 # --------------------------------------------------------- instantaneous_rr

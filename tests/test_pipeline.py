@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
 import gc
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -54,6 +56,20 @@ def write_bytes(tmp_path: Path, body: bytes, name: str) -> Path:
     path = tmp_path / name
     path.write_bytes(body)
     return path
+
+
+def refuse_to_open(monkeypatch, path: Path) -> None:
+    """Opening ``path`` fails as it does without read permission; root, who
+    runs some test hosts, would read a file of mode 000."""
+    def refusing(opener):
+        def open_(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(path))
+            return opener(file, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(builtins, "open", refusing(builtins.open))
+    monkeypatch.setattr(Path, "open", refusing(Path.open))
 
 
 MINIMAL = """quantity,t_s,value
@@ -673,8 +689,39 @@ class TestLoadConfig:
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
         ini = write_bytes(tmp_path, b"[experiment]\nprofile = \xff\n", "exp.ini")
-        with pytest.raises(ConfigError, match="cannot parse config"):
+        with pytest.raises(ConfigError, match="cannot read config"):
             load_config(ini)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "refused"])
+    def test_unreadable_config_rejected(self, tmp_path, monkeypatch, case):
+        # ConfigParser.read skipped a file it could not open, so a run with
+        # --profile went on with the defaults instead of the file's keys
+        ini = tmp_path / "exp.ini"
+        if case == "directory":
+            ini.mkdir()
+        elif case == "refused":
+            ini.write_text("[experiment]\nfixed_baselines = 10\n", encoding="utf-8")
+            refuse_to_open(monkeypatch, ini)
+        with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(ini))}: "):
+            load_config(ini, profile_path="steady_nominal")
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(ini), "--profile",
+                                               "steady_nominal", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body, overrides, message", [
+        ("[experiment]\nprofile = steady_nominal\nalgorithms =\n", {},
+         "need at least one algorithm"),
+        (None, dict(profile_path="steady_nominal", bogus=1),
+         "bad config: .* unexpected keyword argument 'bogus'"),
+    ], ids=["no_algorithm", "unknown_override"])
+    def test_invalid_config_rejected(self, tmp_path, body, overrides, message):
+        ini = None
+        if body is not None:
+            ini = tmp_path / "exp.ini"
+            ini.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(ini, **overrides)
 
     def test_byte_order_mark_accepted(self, tmp_path):
         body = b"[experiment]\nprofile = steady_nominal\nfixed_baselines = 2, 10\n"

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from pmustream import waveform
 from pmustream.errors import DomainError, InvalidInputError
 from pmustream.estimators import fortescue_positive
 from pmustream.waveform import (
@@ -19,6 +21,7 @@ from pmustream.waveform import (
     PiecewisePoly,
     SQRT2,
     SYNTH_CHUNK,
+    SampleBlock,
     eval_reference,
     grid_index,
     integrate_phase,
@@ -42,6 +45,18 @@ def steady_gt(amp=230.0, freq=50.0, f0=50.0, span=10.0, fs=10_000.0, phase0=0.0)
 
 
 # ---------------------------------------------------------------- pchip_fit
+
+MALFORMED = {
+    "anchors_2d": (lambda: AnchorSeries(np.zeros((2, 2)), np.zeros((2, 2))), "1-D"),
+    "anchors_unequal": (lambda: AnchorSeries(np.arange(3.0), np.zeros(2)), "equal length"),
+    "poly_no_piece": (lambda: PiecewisePoly(np.array([0.0]), np.zeros((0, 4))),
+                      "at least one polynomial piece"),
+    "poly_row_count": (lambda: PiecewisePoly(np.arange(3.0), np.zeros((1, 4))),
+                       "rows must match interval count"),
+    "poly_out_of_order": (lambda: PiecewisePoly(np.array([0.0, 2.0, 1.0]), np.zeros((2, 4))),
+                          "strictly increasing"),
+}
+
 
 class TestPchipFit:
     def test_constant_data_gives_constant_polynomial(self):
@@ -97,6 +112,149 @@ class TestPchipFit:
         with pytest.raises(InvalidInputError):
             AnchorSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejects_malformed_series_and_polynomials(self, case):
+        build, message = MALFORMED[case]
+        with pytest.raises(InvalidInputError, match=message):
+            build()
+
+
+# ------------------------------------------- fit and shift, loop-form oracle
+
+def loop_pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pchip_fit's coefficient table one slope and one interval at a time,
+    with a clamp on each limiter ratio that might go negative."""
+    h = np.diff(x)
+    d = np.diff(y) / h
+    n = x.size
+
+    m = np.empty(n)
+    m[0] = d[0]
+    m[-1] = d[-1]
+    for i in range(1, n - 1):
+        m[i] = 0.0 if d[i - 1] * d[i] <= 0 else 0.5 * (d[i - 1] + d[i])
+
+    for i in range(n - 1):
+        if d[i] == 0.0:
+            m[i] = 0.0
+            m[i + 1] = 0.0
+            continue
+        a = m[i] / d[i]
+        b = m[i + 1] / d[i]
+        if a < 0:
+            m[i] = 0.0
+            a = 0.0
+        if b < 0:
+            m[i + 1] = 0.0
+            b = 0.0
+        s = a * a + b * b
+        if s > 9.0:
+            tau = 3.0 / math.sqrt(s)
+            m[i] = tau * a * d[i]
+            m[i + 1] = tau * b * d[i]
+
+    coeffs = np.empty((n - 1, 4))
+    for i in range(n - 1):
+        hi = h[i]
+        di = (y[i + 1] - y[i]) / hi
+        coeffs[i, 3] = y[i]
+        coeffs[i, 2] = m[i]
+        coeffs[i, 1] = (3.0 * di - 2.0 * m[i] - m[i + 1]) / hi
+        coeffs[i, 0] = (m[i] + m[i + 1] - 2.0 * di) / (hi * hi)
+    return coeffs
+
+
+def loop_shift_origin(coeffs: np.ndarray, s: float) -> np.ndarray:
+    """_shift_origin with a table of derivative factors and a guard for the
+    empty derivative of a constant."""
+    deg = coeffs.size - 1
+    shifted = np.empty_like(coeffs)
+    work = coeffs.copy()
+    powers = np.arange(deg, 0, -1, dtype=float)
+    fact = 1.0
+    for k in range(deg + 1):
+        shifted[deg - k] = waveform._horner(work, s) / fact
+        work = work[:-1] * powers[k:] if work.size > 1 else np.array([])
+        if work.size == 0:
+            work = np.array([0.0])
+        fact *= k + 1
+    return shifted
+
+
+def loop_ground_truth(amplitude: AnchorSeries, frequency: AnchorSeries) -> GroundTruth:
+    """GroundTruth.from_anchors from the loop-form fit and shift, restricting
+    only a fit whose domain is not the common span."""
+    lo = max(amplitude.domain[0], frequency.domain[0])
+    hi = min(amplitude.domain[1], frequency.domain[1])
+    fits = []
+    with mock.patch.object(waveform, "_shift_origin", loop_shift_origin):
+        for anchors in (amplitude, frequency):
+            fit = PiecewisePoly(anchors.times,
+                                loop_pchip_coefficients(anchors.times, anchors.values))
+            fits.append(fit.restrict(lo, hi) if fit.domain != (lo, hi) else fit)
+    amp, freq = fits
+    return GroundTruth(amp, freq, integrate_phase(freq, 50.0), freq.derivative(), 50.0, 10_000.0)
+
+
+@st.composite
+def anchor_arrays(draw, starts=st.floats(-100.0, 100.0), steps=st.floats(1e-3, 10.0)):
+    """Anchor times and values, n from 2; the values mix a few repeated
+    levels (flat runs, extrema) with arbitrary ones (steep steps)."""
+    n = draw(st.integers(2, 12))
+    t0 = draw(starts)
+    widths = draw(st.lists(steps, min_size=n - 1, max_size=n - 1))
+    level = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 100.0]), st.floats(-1e3, 1e3))
+    values = draw(st.lists(level, min_size=n, max_size=n))
+    return t0 + np.concatenate(([0.0], np.cumsum(widths))), np.array(values)
+
+
+# one example each: two anchors; a flat run (d == 0); a local extremum (the
+# secants change sign); a steep step after a shallow one (a^2 + b^2 > 9)
+TWO_POINTS = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+FLAT_RUN = (np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0, 2.0]))
+EXTREMUM = (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 2.0, 1.0, 3.0]))
+STEEP_STEP = (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.05, 4.0]))
+
+
+class TestFitMatchesLoopOracle:
+    """The array-form fit and origin shift give every coefficient bit for bit
+    as the loop form does."""
+
+    @given(points=anchor_arrays())
+    @example(points=TWO_POINTS)
+    @example(points=FLAT_RUN)
+    @example(points=EXTREMUM)
+    @example(points=STEEP_STEP)
+    def test_pchip_coefficients_bitwise(self, points):
+        x, y = points
+        # secants whose ratio passes 1e154 overflow the limiter's a * a in both
+        # forms; the comparison holds on that path too
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pchip_fit(AnchorSeries(x, y))
+            want = loop_pchip_coefficients(x, y)
+        assert got.coefficients.tobytes() == want.tobytes()
+
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+           s=st.floats(-10.0, 10.0))
+    @example(coeffs=[3.5], s=0.25)
+    def test_shift_origin_bitwise(self, coeffs, s):
+        co = np.array(coeffs)
+        assert waveform._shift_origin(co, s).tobytes() == loop_shift_origin(co, s).tobytes()
+
+    @given(amplitude=anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),
+           frequency=anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)))
+    @example(amplitude=(np.array([0.0, 1.0, 2.5, 4.0]), np.array([230.0, 229.0, 231.0, 230.0])),
+             frequency=(np.array([0.5, 1.5, 3.0]), np.array([50.0, 49.5, 50.0])))
+    def test_from_anchors_on_unequal_spans_bitwise(self, amplitude, frequency):
+        amp, freq = AnchorSeries(*amplitude), AnchorSeries(*frequency)
+        lo, hi = max(amp.domain[0], freq.domain[0]), min(amp.domain[1], freq.domain[1])
+        assume(lo < hi and amp.domain != freq.domain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = GroundTruth.from_anchors(amp, freq), loop_ground_truth(amp, freq)
+        for name in ("amplitude", "frequency", "phase", "rocof"):
+            got_poly, want_poly = getattr(got, name), getattr(want, name)
+            assert got_poly.breakpoints.tobytes() == want_poly.breakpoints.tobytes(), name
+            assert got_poly.coefficients.tobytes() == want_poly.coefficients.tobytes(), name
 
 # ---------------------------------------------------------- integrate_phase
 
@@ -139,6 +297,10 @@ class TestDifferentiate:
         freq = pchip_fit(series((0, 50.0), (5, 50.0)))
         rocof = freq.derivative()
         assert np.all(rocof(np.linspace(0, 5, 33)) == 0.0)
+
+    def test_constant_piece_derivative_is_zero(self):
+        rocof = PiecewisePoly(np.array([0.0, 1.0, 3.0]), np.array([[2.0], [-4.0]])).derivative()
+        assert rocof.coefficients.tobytes() == np.zeros((2, 1)).tobytes()
 
     def test_linear_ramp_constant_rocof(self):
         freq = pchip_fit(series((0, 50.0), (1, 49.5)))
@@ -208,6 +370,15 @@ class TestSynthThreePhase:
         gt = steady_gt(span=1.0)
         with pytest.raises(DomainError):
             synth_three_phase(gt, 0.5, 10_000)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SampleBlock(0, 10_000.0, np.zeros((2, 4))), r"shape \(3, n\)"),
+        (lambda: SampleBlock(0, 10_000.0, np.full((3, 4), np.nan)), "finite"),
+        (lambda: synth_three_phase(steady_gt(), 0.0, 0), "at least one sample"),
+    ], ids=["two_phases", "nan_samples", "no_samples"])
+    def test_malformed_block_rejected(self, build, message):
+        with pytest.raises(InvalidInputError, match=message):
+            build()
 
 
 # ------------------------------------------------------------ sampling grid
@@ -381,6 +552,8 @@ class TestWaveformInvariants:
         np.testing.assert_allclose(sub(t), poly(t), rtol=0, atol=1e-12)
         with pytest.raises(DomainError):
             sub(0.3)
+        with pytest.raises(DomainError, match="non-empty sub-interval"):
+            poly.restrict(0.8, 0.2)
 
     def test_antiderivative_is_continuous(self):
         poly = pchip_fit(series((0, 1.0), (1, -2.0), (2, 0.5), (3, 1.5)))
