@@ -57,13 +57,19 @@ class DecisionRecord:
     binding_quantity: str
 
 
+def _advance(frequency, rocof, dt, f0):
+    """``(angle, frequency)`` reached ``dt`` seconds past a kept ``(frequency,
+    rocof)``: the one copy of the prediction rule, for floats and arrays."""
+    angle = 2.0 * math.pi * (frequency - f0) * dt + math.pi * rocof * dt * dt
+    return angle, frequency + rocof * dt
+
+
 def predict(last: MeasurementTriplet, dt: float, f0: float) -> tuple[complex, float, float]:
     """Extrapolate (phasor, frequency, rocof) ``dt`` seconds past ``last``."""
     if dt < 0:
         raise InvalidInputError("prediction horizon must be non-negative")
-    angle = 2.0 * math.pi * (last.frequency - f0) * dt + math.pi * last.rocof * dt * dt
-    phasor = last.phasor * cmath.exp(1j * angle)
-    return phasor, last.frequency + last.rocof * dt, last.rocof
+    angle, frequency = _advance(last.frequency, last.rocof, dt, f0)
+    return last.phasor * cmath.exp(1j * angle), frequency, last.rocof
 
 
 def _deviations(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
@@ -164,23 +170,11 @@ def predict_rows(series: TripletSeries, rows: np.ndarray, q: np.ndarray, exact: 
                  f0: float) -> TripletSeries:
     """Row ``rows[i]`` of ``series`` at time ``q[i]``: verbatim where
     ``exact[i]``, else predicted from it as :func:`predict` does."""
-    # gather each kept column once and work in place, in predict()'s
-    # operation order; temporaries are dropped as soon as they are spent to
-    # keep the peak near the size of the result
-    dt = series.t[rows]
-    np.subtract(q, dt, out=dt)
-    kf = series.frequency[rows]
+    # the rotation is the one step computed apart from predict(), whose
+    # cmath.exp and complex multiply may round the last bit unlike numpy's
+    # vector loops; it works in place to keep the peak near the result's size
     rocof = series.rocof[rows]
-    angle = kf - f0
-    angle *= 2.0 * math.pi
-    angle *= dt
-    freq = np.multiply(rocof, math.pi)
-    freq *= dt
-    freq *= dt
-    angle += freq
-    np.multiply(rocof, dt, out=freq)
-    freq += kf
-    del kf, dt
+    angle, freq = _advance(series.frequency[rows], rocof, q - series.t[rows], f0)
     phasor = np.multiply(angle, 1j, out=np.empty(q.size, dtype=complex))
     del angle
     np.exp(phasor, out=phasor)

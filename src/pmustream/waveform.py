@@ -198,18 +198,22 @@ def pchip_fit(anchors: AnchorSeries) -> PiecewisePoly:
 
     # left to right: step i may scale back m[i + 1], the slope step i + 1
     # starts from.  A slope is zero or has its secants' sign, and steps only
-    # zero it or scale it by tau > 0, so neither a nor b is ever negative
-    for i in range(d.size):
-        if d[i] == 0.0:
-            m[i] = m[i + 1] = 0.0
+    # zero it or scale it by tau > 0, so neither a nor b is ever negative.
+    # It runs on Python floats, which overflow to inf silently where numpy
+    # scalars warn (a * a for a secant ratio beyond ~1e154)
+    slopes, secants = m.tolist(), d.tolist()
+    for i, di in enumerate(secants):
+        if di == 0.0:
+            slopes[i] = slopes[i + 1] = 0.0
             continue
-        a = m[i] / d[i]
-        b = m[i + 1] / d[i]
+        a = slopes[i] / di
+        b = slopes[i + 1] / di
         s = a * a + b * b
         if s > 9.0:
             tau = 3.0 / math.sqrt(s)
-            m[i] = tau * a * d[i]
-            m[i + 1] = tau * b * d[i]
+            slopes[i] = tau * a * di
+            slopes[i + 1] = tau * b * di
+    m = np.array(slopes)
 
     coeffs = np.empty((d.size, 4))
     coeffs[:, 3] = y[:-1]

@@ -7,6 +7,7 @@ measure wall time and fail when the budget is exceeded.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import subprocess
@@ -152,7 +153,7 @@ def test_criterion_4_prediction_oracle_equivalence():
     kt = [m.t for m in kept]
     worst = 0.0
     for i, t in enumerate(grid):
-        j = np.searchsorted(kt, t + ts / 2, side="right") - 1
+        j = bisect.bisect_right(kt, t + ts / 2) - 1
         base = kept[j]
         dt = t - base.t
         if abs(dt) <= ts / 2:

@@ -20,6 +20,7 @@ from pmustream.decimator import (
     decide,
     decimate_stream,
     predict,
+    predict_rows,
     reconstruct,
     serving_rows,
 )
@@ -134,6 +135,23 @@ class TestPredict:
     def test_negative_horizon_rejected(self):
         with pytest.raises(InvalidInputError):
             predict(triplet(0.0, 230.0, 50.0, 0.0), -0.01, F0)
+
+    @given(cases=st.lists(st.tuples(
+        st.floats(0.0, 99.0), st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+        st.floats(-math.pi, math.pi), st.floats(45.0, 55.0), st.floats(-5.0, 5.0),
+        st.floats(0.0, 5.0)), min_size=1, max_size=8))
+    def test_pmu_and_receiver_agree(self, cases):
+        # the device's predict and the receiver's predict_rows share _advance,
+        # so frequency and ROCOF agree bit for bit; each rotates the phasor its
+        # own way (cmath against numpy's loops), within 2 ulp
+        kept = [triplet(t, cmath.rect(mag, ang), f, r) for t, mag, ang, f, r, _ in cases]
+        q = np.array([m.t + dt for m, (*_, dt) in zip(kept, cases)])
+        got = predict_rows(TripletSeries.from_triplets(kept), np.arange(q.size), q,
+                           np.zeros(q.size, bool), F0)
+        for i, m in enumerate(kept):
+            phasor, freq, rocof = predict(m, float(q[i]) - m.t, F0)
+            assert (got.frequency[i], got.rocof[i]) == (freq, rocof)
+            assert abs(got.phasor[i] - phasor) <= 4.4e-16 * abs(phasor)
 
 
 # ----------------------------------------------------------------- epsilon

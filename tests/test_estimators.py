@@ -17,6 +17,7 @@ from pmustream.estimators import (
     EstimatorKind,
     MeasurementTriplet,
     _check_frequency,
+    _hann_offset,
     _hann_spectrum,
     _ipdft_windows,
     _piec_tables,
@@ -321,6 +322,12 @@ class TestIpdftKernelMatchesScalarOracle:
             ipdft_estimate(block, CFG, 0.2)
         with pytest.raises(DegenerateSignalError, match=message):
             scalar_ipdft_estimate(block, CFG, 0.2, 3)
+
+    def test_vanishing_bins_rejected(self):
+        # _ipdft_windows screens each window with its noise-floor check first,
+        # so only a direct call reaches this guard
+        with pytest.raises(DegenerateSignalError, match="all DFT bins vanish"):
+            _hann_offset(np.zeros((3, 1, 3), complex))
 
 
 # ---------------------------------- p_iec kernel against the scalar oracle

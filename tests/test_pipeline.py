@@ -21,7 +21,7 @@ from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, InvalidInputError, ProfileError
 from pmustream.estimators import EstimatorConfig, TripletSeries, run_estimator
-from pmustream.metrics import instantaneous_rr, tracking_indices
+from pmustream.metrics import TRE_FORMULAS, instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
     emit_table,
@@ -714,7 +714,9 @@ class TestLoadConfig:
          "need at least one algorithm"),
         (None, dict(profile_path="steady_nominal", bogus=1),
          "bad config: .* unexpected keyword argument 'bogus'"),
-    ], ids=["no_algorithm", "unknown_override"])
+        ("[experiment]\nprofile = steady_nominal\ntre_formula = x\n", {},
+         re.escape(f"tre_formula must be one of {TRE_FORMULAS}")),
+    ], ids=["no_algorithm", "unknown_override", "unknown_tre_formula"])
     def test_invalid_config_rejected(self, tmp_path, body, overrides, message):
         ini = None
         if body is not None:

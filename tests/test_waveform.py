@@ -228,9 +228,19 @@ class TestFitMatchesLoopOracle:
     def test_pchip_coefficients_bitwise(self, points):
         x, y = points
         # secants whose ratio passes 1e154 overflow the limiter's a * a in both
-        # forms; the comparison holds on that path too
+        # forms, and the oracle's numpy scalars warn; the comparison holds on
+        # that path too
         with np.errstate(over="ignore", invalid="ignore"):
             got = pchip_fit(AnchorSeries(x, y))
+            want = loop_pchip_coefficients(x, y)
+        assert got.coefficients.tobytes() == want.tobytes()
+
+    def test_overflowing_limiter_fits_without_warning(self):
+        # a * a overflows at the second secant; the fit runs under the suite's
+        # error::RuntimeWarning filter, only the numpy oracle needs errstate
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 1.07e-277])
+        got = pchip_fit(AnchorSeries(x, y))
+        with np.errstate(over="ignore"):
             want = loop_pchip_coefficients(x, y)
         assert got.coefficients.tobytes() == want.tobytes()
 
