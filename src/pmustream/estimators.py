@@ -168,16 +168,17 @@ def _triangle_gain(df: float, m: int, ts: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _piec_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _piec_tables(m: int) -> tuple[np.ndarray, tuple[complex, ...]]:
     """Per-cycle-length constants of the demodulate-and-filter estimator.
 
-    Returns the real ``(3*(2m+1), 6)`` kernel that maps a flattened
+    Returns the real ``(6, 3*(2m+1))`` kernel that maps a flattened
     three-phase window of ``2m+1`` samples to the positive-sequence outputs
     of the triangular filter at offsets 0, 1 and 2 (real and imaginary part
-    side by side, so the product views as complex), and the ``m`` roots of
-    unity ``exp(-2j*pi*k/m)``.  The kernel folds in the unit-gain carrier
-    ``sqrt(2)*exp(-2j*pi*k/m)`` relative to the first window sample, the
-    filter weights at each offset and the Fortescue weights ``(1, a, a^2)/3``.
+    in consecutive rows, so the product views as complex), and the ``m``
+    roots of unity ``exp(-2j*pi*k/m)``.  The kernel folds in the unit-gain
+    carrier ``sqrt(2)*exp(-2j*pi*k/m)`` relative to the first window sample,
+    the filter weights at each offset and the Fortescue weights
+    ``(1, a, a^2)/3``.  Its rows are contiguous: a report is six dot products.
     """
     n = 2 * m + 1
     roots = np.exp(-2j * math.pi * np.arange(m) / m)
@@ -187,9 +188,9 @@ def _piec_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     carrier_fir = SQRT2 * roots[np.arange(n) % m, None] * fir  # (n samples, 3 offsets)
     fortescue = np.array([1.0, ALPHA, ALPHA * ALPHA]) / 3.0
     kernel = fortescue[:, None, None] * carrier_fir  # (3 phases, n, 3 offsets)
-    kernel = np.stack([kernel.real, kernel.imag], axis=-1).reshape(3 * n, 6)
-    kernel.flags.writeable = roots.flags.writeable = False  # shared by every caller
-    return kernel, roots
+    kernel = np.stack([kernel.real, kernel.imag], axis=-1).reshape(3 * n, 6).T.copy()
+    kernel.flags.writeable = False  # shared by every caller
+    return kernel, tuple(roots.tolist())
 
 
 def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
@@ -198,10 +199,12 @@ def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
 
     The window holds ``2M+1`` samples centered on the report: ``2M-1`` for the
     triangular filter plus one extra sample on each side for the symmetric
-    frequency/ROCOF difference stencils at step ``Ts``.  One matmul with the
+    frequency/ROCOF difference stencils at step ``Ts``.  One product with the
     cached kernel gives the positive-sequence phasor at the three offsets in
-    the frame of the first window sample; since ``fs/f0 = M`` is an integer,
-    the carrier phase of that sample is an exact root of unity.
+    the frame of the first window sample.  The phase steps between offsets
+    do not depend on that frame, so only the reported phasor is rotated to
+    absolute time; since ``fs/f0 = M`` is an integer, the carrier phase of
+    the first window sample is an exact root of unity.
     """
     m = config.m
     ic = _report_index(block, config.fs, t_report)
@@ -210,9 +213,7 @@ def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
 
     kernel, roots = _piec_tables(m)
     window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
-    phasors = np.dot(window, kernel).view(complex)
-    phasors *= roots[(block.start_index + ic - m) % m]
-    p0, p1, p2 = phasors.tolist()
+    p0, p1, p2 = np.dot(kernel, window).view(complex).tolist()
 
     step01 = cmath.phase(p1 * p0.conjugate())
     step12 = cmath.phase(p2 * p1.conjugate())
@@ -220,7 +221,7 @@ def p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
     freq = config.f0 + (step01 + step12) / (4.0 * math.pi * ts)
     rocof = (step12 - step01) / (2.0 * math.pi * ts * ts)
     _check_frequency(freq, config)
-    phasor = p1 / _triangle_gain(freq - config.f0, m, ts)
+    phasor = p1 * roots[(block.start_index + ic - m) % m] / _triangle_gain(freq - config.f0, m, ts)
     return MeasurementTriplet(t_report, phasor, freq, rocof)
 
 

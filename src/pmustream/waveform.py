@@ -288,16 +288,19 @@ class GroundTruth:
                                     f"reach 2**51 samples at fs = {fs} Hz; shift them toward 0")
         if not math.isfinite(phase0):
             raise InvalidInputError(f"phase0 must be finite, got {phase0}")
-        amp = pchip_fit(amplitude_anchors).restrict(lo, hi)
-        freq = pchip_fit(frequency_anchors).restrict(lo, hi)
-        return cls(
-            amplitude=amp,
-            frequency=freq,
-            phase=integrate_phase(freq, f0, phase0),
-            rocof=freq.derivative(),
-            f0=float(f0),
-            fs=float(fs),
-        )
+        # finite anchors can still fit to inf or NaN (anchors 1e-300 s apart
+        # overflow a secant ratio, and h*h underflows to 0): the check below
+        # names the quantity where numpy would warn mid-fit
+        with np.errstate(all="ignore"):
+            amp = pchip_fit(amplitude_anchors).restrict(lo, hi)
+            freq = pchip_fit(frequency_anchors).restrict(lo, hi)
+            phase, rocof = integrate_phase(freq, f0, phase0), freq.derivative()
+        for quantity, fits in (("amplitude", (amp,)), ("frequency", (freq, phase, rocof))):
+            if not all(np.isfinite(fit.coefficients).all() for fit in fits):
+                raise InvalidInputError(f"the {quantity} anchors fit to non-finite "
+                                        "coefficients; spread anchors that lie too close in time")
+        return cls(amplitude=amp, frequency=freq, phase=phase, rocof=rocof,
+                   f0=float(f0), fs=float(fs))
 
 
 @dataclass(frozen=True)

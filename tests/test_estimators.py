@@ -29,7 +29,7 @@ from pmustream.estimators import (
     p_iec_estimate,
     run_estimator,
 )
-from pmustream.pipeline import parse_profile, resolve_profile
+from pmustream.pipeline import list_profiles, parse_profile, resolve_profile
 from pmustream.waveform import (
     SQRT2,
     AnchorSeries,
@@ -416,16 +416,85 @@ class TestPiecKernelMatchesScalarOracle:
         ic = 2 * m
         kernel, roots = _piec_tables(m)
         window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
-        got = (window @ kernel).view(complex) * roots[(block.start_index + ic - m) % m]
+        got = (kernel @ window).view(complex) * roots[(block.start_index + ic - m) % m]
         ref = _oracle_offsets(block, CFG, ic)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ------------------- p_iec against its row-major kernel and in-array rotation
+#
+# p_iec first applied the kernel as a (3*(2m+1), 6) matrix on the right of the
+# window and rotated all three offsets to absolute time.  The transposed
+# kernel makes BLAS take six contiguous dot products, which round differently,
+# and only the reported phasor is rotated, since the common rotation cancels
+# in the phase steps.
+
+@lru_cache(maxsize=None)
+def _row_major_kernel(m: int) -> np.ndarray:
+    return np.ascontiguousarray(_piec_tables(m)[0].T)
+
+
+def row_major_p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
+                             t_report: float) -> MeasurementTriplet:
+    m = config.m
+    ic = _report_index(block, config.fs, t_report)
+    window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
+    phasors = np.dot(window, _row_major_kernel(m)).view(complex)
+    phasors *= _piec_tables(m)[1][(block.start_index + ic - m) % m]
+    p0, p1, p2 = phasors.tolist()
+    step01 = cmath.phase(p1 * p0.conjugate())
+    step12 = cmath.phase(p2 * p1.conjugate())
+    ts = config.ts
+    freq = config.f0 + (step01 + step12) / (4.0 * math.pi * ts)
+    rocof = (step12 - step01) / (2.0 * math.pi * ts * ts)
+    return MeasurementTriplet(t_report, p1 / _triangle_gain(freq - config.f0, m, ts),
+                              freq, rocof)
+
+
+def assert_near_row_major(got: MeasurementTriplet, want: MeasurementTriplet):
+    assert abs(got.phasor - want.phasor) <= 1e-13 * abs(want.phasor)
+    assert abs(got.frequency - want.frequency) <= 1e-11
+    assert abs(got.rocof - want.rocof) <= 1e-6
+
+
+class TestPiecMatchesRowMajorForm:
+    def test_tables_layout(self):
+        kernel, roots = _piec_tables(CFG.m)
+        assert kernel.shape == (6, 3 * (2 * CFG.m + 1)) and kernel.flags.c_contiguous
+        assert not kernel.flags.writeable
+        assert len(roots) == CFG.m and all(type(r) is complex for r in roots)
+
+    @settings(max_examples=80)
+    @given(
+        freq=st.floats(45.0, 55.0),
+        amp=st.floats(1.0, 400.0),
+        phase0=st.floats(-math.pi, math.pi),
+        scales=st.tuples(*[st.floats(0.5, 1.5)] * 3),
+        rocof=st.floats(-1.0, 1.0),
+        n_report=st.integers(0, 120 * round(CFG.fs)),
+    )
+    def test_random_signals(self, freq, amp, phase0, scales, rocof, n_report):
+        block = report_block(n_report, freq, amp, phase0, scales, rocof)
+        t_report = n_report / CFG.fs
+        assert_near_row_major(p_iec_estimate(block, CFG, t_report),
+                              row_major_p_iec_estimate(block, CFG, t_report))
+
+    @pytest.mark.parametrize("profile", list_profiles())
+    def test_bundled_profile_reports(self, profile):
+        gt = GroundTruth.from_anchors(*parse_profile(resolve_profile(profile)))
+        block = block_for(gt, 0.0)
+        for n in range(CFG.m, block.n - CFG.m, CFG.r):
+            t_report = n / CFG.fs
+            assert_near_row_major(p_iec_estimate(block, CFG, t_report),
+                                  row_major_p_iec_estimate(block, CFG, t_report))
 
 
 # ------------------------- per-report arithmetic against its numpy-array form
 #
 # p_iec_estimate and ipdft_estimate moved their last per-report steps from
-# small numpy arrays to plain floats; these are those steps as first written,
-# which the estimators must reproduce bit for bit.
+# small numpy arrays to plain floats; these are those steps as first written
+# (p_iec's with the transposed kernel and one rotation of the reported
+# phasor), which the estimators must reproduce bit for bit.
 
 def array_form_p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
                               t_report: float) -> MeasurementTriplet:
@@ -433,14 +502,14 @@ def array_form_p_iec_estimate(block: SampleBlock, config: EstimatorConfig,
     ic = _report_index(block, config.fs, t_report)
     kernel, roots = _piec_tables(m)
     window = block.samples[:, ic - m:ic + m + 1].reshape(-1)
-    rotation = roots[(block.start_index + ic - m) % m]
-    p0, p1, p2 = ((window @ kernel).view(complex) * rotation).tolist()
+    p0, p1, p2 = (kernel @ window).view(complex).tolist()
     step01 = cmath.phase(p1 * p0.conjugate())
     step12 = cmath.phase(p2 * p1.conjugate())
     ts = config.ts
     freq = config.f0 + (step01 + step12) / (4.0 * math.pi * ts)
     rocof = (step12 - step01) / (2.0 * math.pi * ts * ts)
-    return MeasurementTriplet(t_report, p1 / _triangle_gain(freq - config.f0, m, ts),
+    rotation = roots[(block.start_index + ic - m) % m]
+    return MeasurementTriplet(t_report, p1 * rotation / _triangle_gain(freq - config.f0, m, ts),
                               freq, rocof)
 
 

@@ -6,7 +6,11 @@ import builtins
 import csv
 import gc
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,7 +24,7 @@ from pmustream import cli, pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, InvalidInputError, ProfileError
-from pmustream.estimators import EstimatorConfig, TripletSeries, run_estimator
+from pmustream.estimators import ALGORITHMS, EstimatorConfig, TripletSeries, run_estimator
 from pmustream.metrics import TRE_FORMULAS, instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
@@ -134,6 +138,20 @@ REFUSED = {
     "at_1.7e9s_soc": (steady(1.7e9, 1.7e9 + 2), SAMPLE_INDEX_LIMIT),
     "at_1e12s": (steady(1e12, 1e12 + 2), "reach 2**51 samples"),
     "at_1e305s": (steady(1e305, 2e305), "anchor times [1e+305, 2e+305] s reach 2**51 samples"),
+    # anchors 1e-300 s apart fit to inf or NaN coefficients; validate used to
+    # accept the first two and run then failed on non-finite samples, and the
+    # third warned from numpy mid-fit
+    "amplitude_fit_nan": ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1e-300,231\n"
+                          "amplitude_V,2,231.00000000000003\nfrequency_Hz,0,50\n"
+                          "frequency_Hz,2,50\n",
+                          "the amplitude anchors fit to non-finite coefficients"),
+    "frequency_fit_nan": ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,2,230\n"
+                          "frequency_Hz,0,50\nfrequency_Hz,1e-300,50.5\n"
+                          "frequency_Hz,2,50.50000000000001\n",
+                          "the frequency anchors fit to non-finite coefficients"),
+    "amplitude_fit_overflow": ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1e-300,231\n"
+                               "amplitude_V,2,232\nfrequency_Hz,0,50\nfrequency_Hz,2,50\n",
+                               "the amplitude anchors fit to non-finite coefficients"),
 }
 
 
@@ -306,6 +324,40 @@ class TestRunExperiment:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the pinned BLAS core and CPU features name x86-64 kernels")
+    def test_run_agrees_across_numerics_back_ends(self, tmp_path):
+        # the variables pin one process to the x86-64 baseline BLAS and ufunc
+        # kernels, which round differently from the ones picked at load time
+        baseline = {"OPENBLAS_CORETYPE": "Prescott",
+                    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+        src = str(Path(pipeline.__file__).resolve().parent.parent)
+        runs = []
+        for name, kernels in (("default", {}), ("baseline", baseline)):
+            out = tmp_path / name
+            result = subprocess.run(
+                [sys.executable, "-m", "pmustream.cli", "run", "--profile", "abrupt_collapse",
+                 "--emit-decisions", "--out", str(out)],
+                env={**os.environ, **kernels, "PYTHONPATH": src}, capture_output=True, text=True)
+            assert result.returncode == 0, (name, result.stderr)
+            runs.append(out)
+
+        summaries = [json.loads((out / "summary.json").read_text())["reports"] for out in runs]
+        assert summaries[0].keys() == summaries[1].keys()
+        for key, want in summaries[0].items():
+            for index in ("tre_tve_percent", "tre_fe_mhz", "tre_rfe_hz_per_s"):
+                got = summaries[1][key][index]
+                assert abs(got - want[index]) <= 1e-6 * abs(want[index]), (key, index)
+        for algo in ALGORITHMS:
+            logs = [[json.loads(line) for line in
+                     (out / f"decisions_{algo}_adaptive.jsonl").read_text().splitlines()]
+                    for out in runs]
+            assert [d["t"] for d in logs[0]] == [d["t"] for d in logs[1]]
+            flips = [pair for pair in zip(*logs) if pair[0]["kept"] != pair[1]["kept"]]
+            if flips:  # a keep may flip only where a frame sits at the threshold
+                for decision in flips[0]:
+                    assert abs(max(decision["eps"]) - 1.0) <= 1e-3, (algo, decision)
 
     def test_artifact_files_written(self, tmp_path):
         out = tmp_path / "artifacts"
