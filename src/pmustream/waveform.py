@@ -289,8 +289,9 @@ class GroundTruth:
         if not math.isfinite(phase0):
             raise InvalidInputError(f"phase0 must be finite, got {phase0}")
         # finite anchors can still fit to inf or NaN (anchors 1e-300 s apart
-        # overflow a secant ratio, and h*h underflows to 0): the check below
-        # names the quantity where numpy would warn mid-fit
+        # overflow a secant ratio and h*h underflows to 0; values near 1e308
+        # overflow a difference): the check below names the quantity where
+        # numpy would warn mid-fit
         with np.errstate(all="ignore"):
             amp = pchip_fit(amplitude_anchors).restrict(lo, hi)
             freq = pchip_fit(frequency_anchors).restrict(lo, hi)
@@ -298,7 +299,7 @@ class GroundTruth:
         for quantity, fits in (("amplitude", (amp,)), ("frequency", (freq, phase, rocof))):
             if not all(np.isfinite(fit.coefficients).all() for fit in fits):
                 raise InvalidInputError(f"the {quantity} anchors fit to non-finite "
-                                        "coefficients; spread anchors that lie too close in time")
+                                        "coefficients; their spacing or values overflow the fit")
         return cls(amplitude=amp, frequency=freq, phase=phase, rocof=rocof,
                    f0=float(f0), fs=float(fs))
 

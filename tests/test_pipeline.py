@@ -138,9 +138,9 @@ REFUSED = {
     "at_1.7e9s_soc": (steady(1.7e9, 1.7e9 + 2), SAMPLE_INDEX_LIMIT),
     "at_1e12s": (steady(1e12, 1e12 + 2), "reach 2**51 samples"),
     "at_1e305s": (steady(1e305, 2e305), "anchor times [1e+305, 2e+305] s reach 2**51 samples"),
-    # anchors 1e-300 s apart fit to inf or NaN coefficients; validate used to
-    # accept the first two and run then failed on non-finite samples, and the
-    # third warned from numpy mid-fit
+    # anchors 1e-300 s apart or near 1e308 V fit to inf or NaN coefficients;
+    # validate used to accept the first two and run then failed on non-finite
+    # samples, and numpy warned mid-fit on the last two
     "amplitude_fit_nan": ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1e-300,231\n"
                           "amplitude_V,2,231.00000000000003\nfrequency_Hz,0,50\n"
                           "frequency_Hz,2,50\n",
@@ -152,6 +152,10 @@ REFUSED = {
     "amplitude_fit_overflow": ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1e-300,231\n"
                                "amplitude_V,2,232\nfrequency_Hz,0,50\nfrequency_Hz,2,50\n",
                                "the amplitude anchors fit to non-finite coefficients"),
+    "amplitude_values_overflow": ("quantity,t_s,value\namplitude_V,0,1e308\n"
+                                  "amplitude_V,1,-1e308\namplitude_V,2,1e308\n"
+                                  "frequency_Hz,0,50\nfrequency_Hz,2,50\n",
+                                  "the amplitude anchors fit to non-finite coefficients"),
 }
 
 
