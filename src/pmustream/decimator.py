@@ -72,22 +72,6 @@ def predict(last: MeasurementTriplet, dt: float, f0: float) -> tuple[complex, fl
     return last.phasor * cmath.exp(1j * angle), frequency, last.rocof
 
 
-def _deviations(last_kept: MeasurementTriplet, incoming: MeasurementTriplet,
-                thresholds: Thresholds, f0: float) -> tuple[float, float, float]:
-    dt = incoming.t - last_kept.t
-    if dt <= 0:
-        raise SequencingError("incoming triplet does not advance the stream clock")
-    phasor_p, freq_p, rocof_p = predict(last_kept, dt, f0)
-    ref_mag = abs(last_kept.phasor)
-    if ref_mag == 0.0:
-        e1 = math.inf  # collapsed reference: force a keep as soon as signal returns
-    else:
-        e1 = abs(phasor_p - incoming.phasor) / (thresholds.delta_tve * ref_mag)
-    e2 = abs(freq_p - incoming.frequency) / thresholds.delta_fe
-    e3 = abs(rocof_p - incoming.rocof) / thresholds.delta_rfe
-    return e1, e2, e3
-
-
 def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
            thresholds: Thresholds, f0: float) -> tuple[DecisionRecord, MeasurementTriplet]:
     """One keep/discard step against the last retained triplet.
@@ -96,7 +80,16 @@ def decide(last_kept: MeasurementTriplet | None, incoming: MeasurementTriplet,
     """
     if last_kept is None:
         return DecisionRecord(incoming.t, True, None, "first"), incoming
-    eps = _deviations(last_kept, incoming, thresholds, f0)
+    dt = incoming.t - last_kept.t
+    if dt <= 0:
+        raise SequencingError("incoming triplet does not advance the stream clock")
+    phasor, frequency, rocof = predict(last_kept, dt, f0)
+    ref_mag = abs(last_kept.phasor)
+    # a collapsed reference forces a keep as soon as the signal returns
+    e1 = (math.inf if ref_mag == 0.0
+          else abs(phasor - incoming.phasor) / (thresholds.delta_tve * ref_mag))
+    eps = (e1, abs(frequency - incoming.frequency) / thresholds.delta_fe,
+           abs(rocof - incoming.rocof) / thresholds.delta_rfe)
     # plain floats: a 3-element numpy reduction costs more than the rest of
     # the decision.  Only the phasor deviation can be NaN (an overflowed
     # deviation over an overflowed threshold); standing first, it makes max()

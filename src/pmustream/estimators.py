@@ -30,6 +30,7 @@ from .errors import DegenerateSignalError, InvalidInputError, PmuStreamError, wi
 from .waveform import GroundTruth, SampleBlock, SQRT2, grid_index, synth_three_phase
 
 ALGORITHMS = ("p_iec", "i_ipdft")
+IPDFT_ITERATIONS = 3  # image-removal steps of i_ipdft unless configured
 ALPHA = cmath.exp(2j * math.pi / 3)
 
 
@@ -103,7 +104,7 @@ class EstimatorKind:
     """Algorithm selector plus per-algorithm parameters."""
 
     algorithm: str
-    ipdft_iterations: int = 3
+    ipdft_iterations: int = IPDFT_ITERATIONS
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -153,7 +154,6 @@ def _report_index(block: SampleBlock, fs: float, t_report: float) -> int:
     return grid_index(t_report, fs) - block.start_index
 
 
-@lru_cache(maxsize=8)
 def _triangle_weights(m: int) -> np.ndarray:
     w = 1.0 - np.abs(np.arange(2 * m - 1) - (m - 1)) / m
     return w / w.sum()
@@ -319,7 +319,7 @@ def _ipdft_windows(block: SampleBlock, centers: np.ndarray, config: EstimatorCon
 
 
 def ipdft_estimate(block: SampleBlock, config: EstimatorConfig, t_report: float,
-                   iterations: int = 3) -> MeasurementTriplet:
+                   iterations: int = IPDFT_ITERATIONS) -> MeasurementTriplet:
     """Iterative interpolated-DFT estimate for one reporting instant.
 
     The block must cover the three-cycle window centered on ``t_report`` and

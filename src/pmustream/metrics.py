@@ -11,6 +11,11 @@ from .errors import InvalidInputError, UndefinedMetricError
 from .estimators import TripletSeries
 
 TRE_FORMULAS = ("rms", "printed")
+# the tracking indices in table order: (TrackingReport field, table label,
+# summary.json key); the label and the key carry the unit
+TRACKING_INDICES = (("tre_tve", "TrE_TVE [%]", "tre_tve_percent"),
+                    ("tre_fe", "TrE_FE [mHz]", "tre_fe_mhz"),
+                    ("tre_rfe", "TrE_RFE [Hz/s]", "tre_rfe_hz_per_s"))
 
 
 def _aggregate(dev: np.ndarray, formula: str) -> float:
@@ -28,7 +33,7 @@ def tracking_indices(
     reference: TripletSeries,
     formula: str = "rms",
 ) -> tuple[float, float, float]:
-    """Tracking-error indices over a dense grid: (percent, mHz, Hz/s).
+    """The :data:`TRACKING_INDICES` over a dense grid, in their order and units.
 
     Each index aggregates the point-wise deviation between the reconstructed
     stream and the reference series, which must carry the same grid in
@@ -65,9 +70,9 @@ class TrackingReport:
     """Scores for one (algorithm, reporting mode) combination; the key of its
     entry in a ``reports`` dict names the combination."""
 
-    tre_tve: float                       # percent
-    tre_fe: float                        # mHz
-    tre_rfe: float                       # Hz/s
+    tre_tve: float                       # units as in TRACKING_INDICES
+    tre_fe: float
+    tre_rfe: float
     kept_count: int
     total_count: int
 

@@ -24,12 +24,14 @@ from .decimator import Thresholds, decimate_stream, predict_rows, reconstruct, s
 from .errors import ConfigError, InvalidInputError, PmuStreamError, ProfileError, with_context
 from .estimators import (
     ALGORITHMS,
+    IPDFT_ITERATIONS,
     EstimatorConfig,
     EstimatorKind,
     TripletSeries,
     run_estimator,
 )
-from .metrics import TRE_FORMULAS, TrackingReport, instantaneous_rr, tracking_indices
+from .metrics import (TRACKING_INDICES, TRE_FORMULAS, TrackingReport, instantaneous_rr,
+                      tracking_indices)
 from .waveform import (GRID_INDEX_LIMIT, AnchorSeries, GroundTruth, eval_reference,
                        synth_three_phase)
 
@@ -55,27 +57,29 @@ class ExperimentConfig:
     fixed_baselines: tuple[int, ...] = (2,)
     tre_formula: str = "rms"
     output_dir: str = "results"
-    ipdft_iterations: int = 3
+    ipdft_iterations: int = IPDFT_ITERATIONS
     emit_decisions: bool = False
     emit_traces: bool = False
-    # derived, not settable: the estimators' sampling geometry, and the
-    # reporting modes as (label, divisor) in table order: full rate, the
-    # fixed divisors ascending, then adaptive (divisor None)
+    # derived, not settable: one estimator per algorithm, the estimators'
+    # sampling geometry, and the reporting modes as (label, divisor) in table
+    # order: full rate, the fixed divisors ascending, then adaptive (divisor None)
+    kinds: tuple[EstimatorKind, ...] = field(init=False)
     estimator_config: EstimatorConfig = field(init=False)
     modes: tuple[tuple[str, int | None], ...] = field(init=False)
 
     def __post_init__(self):
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
-        object.__setattr__(self, "algorithms", tuple(dict.fromkeys(self.algorithms)))
         if self.tre_formula not in TRE_FORMULAS:
             raise ConfigError(f"tre_formula must be one of {TRE_FORMULAS}")
         try:  # the estimator types validate their own parameters
-            for name in self.algorithms:
-                self.kind(name)
+            kinds = tuple(EstimatorKind(name, ipdft_iterations=self.ipdft_iterations)
+                          for name in dict.fromkeys(self.algorithms))
             est = EstimatorConfig(f0=self.f0, fs=self.fs, internal_rate=self.rr_in)
         except InvalidInputError as exc:
             raise ConfigError(f"invalid estimator setup: {exc}") from exc
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "algorithms", tuple(k.algorithm for k in kinds))
         object.__setattr__(self, "estimator_config", est)
         if not all(isinstance(d, numbers.Real) and d >= 1
                    and (isinstance(d, numbers.Integral) or float(d).is_integer())
@@ -94,9 +98,6 @@ class ExperimentConfig:
             modes[label] = d
         modes["adaptive"] = None
         object.__setattr__(self, "modes", tuple(modes.items()))
-
-    def kind(self, algorithm: str) -> EstimatorKind:
-        return EstimatorKind(algorithm, ipdft_iterations=self.ipdft_iterations)
 
 
 def bundled_profile_dir():
@@ -193,8 +194,8 @@ def evaluation_window(config: ExperimentConfig) -> tuple[GroundTruth, int, int, 
         raise InvalidInputError(f"{span} reaches sample {GRID_INDEX_LIMIT} at fs = "
                                 f"{config.fs} Hz; shift the time tags toward 0")
     est = config.estimator_config
-    left = max(config.kind(a).left_margin(est) for a in config.algorithms)
-    right = max(config.kind(a).right_margin(est) for a in config.algorithms)
+    left = max(kind.left_margin(est) for kind in config.kinds)
+    right = max(kind.right_margin(est) for kind in config.kinds)
     r = est.r
     n_first = math.ceil((n_lo + left) / r) * r
     n_last = n_first + ((n_hi - right - n_first) // r) * r
@@ -216,9 +217,10 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
 
     reports: dict[tuple[str, str], TrackingReport] = {}
     traces = []  # (path, stream, kept) per traced (algorithm, mode)
-    for name in config.algorithms:
+    for kind in config.kinds:
+        name = kind.algorithm
         try:
-            triplets = run_estimator(config.kind(name), block, est, n_first / fs, n_last / fs)
+            triplets = run_estimator(kind, block, est, n_first / fs, n_last / fs)
         except (PmuStreamError, ArithmeticError) as exc:
             raise with_context(exc, name)
         stream = TripletSeries.from_triplets(triplets)
@@ -261,16 +263,12 @@ def emit_table(reports: dict[tuple[str, str], TrackingReport],
     algorithms = config.algorithms
     modes = [mode for mode, _ in config.modes]
     adaptive = [reports[(algo, "adaptive")] for algo in algorithms]
-    index_rows = [
-        ("TrE_TVE [%]", lambda r: r.tre_tve),
-        ("TrE_FE [mHz]", lambda r: r.tre_fe),
-        ("TrE_RFE [Hz/s]", lambda r: r.tre_rfe),
-    ]
     csv_lines = ["index,rr_mode,algorithm,value"]
-    for label, getter in index_rows:
+    for index, label, _ in TRACKING_INDICES:
         for mode in modes:
             for algo in algorithms:
-                csv_lines.append(f"{label},{mode},{algo},{getter(reports[(algo, mode)])!r}")
+                value = getattr(reports[(algo, mode)], index)
+                csv_lines.append(f"{label},{mode},{algo},{value!r}")
     for algo, report in zip(algorithms, adaptive):
         csv_lines.append(f"compression_ratio,adaptive,{algo},{report.compression_ratio!r}")
 
@@ -278,10 +276,10 @@ def emit_table(reports: dict[tuple[str, str], TrackingReport],
     header = f"{'Index':<16}{'RR':<12}" + "".join(f"{a:>{width}}" for a in algorithms)
     sep = "-" * len(header)
     human = [header, sep]
-    for label, getter in index_rows:
+    for index, label, _ in TRACKING_INDICES:
         for mode in modes:
             human.append(f"{label:<16}{mode:<12}" + "".join(
-                f"{getter(reports[(algo, mode)]):>{width}.4g}" for algo in algorithms))
+                f"{getattr(reports[(algo, mode)], index):>{width}.4g}" for algo in algorithms))
         human.append(sep)
     human.append(f"{'Compression':<16}{'adaptive':<12}" + "".join(
         f"{r.compression_ratio:>{width}.4g}" for r in adaptive))
@@ -299,9 +297,7 @@ def _summary_json(config: ExperimentConfig,
         "tre_formula": config.tre_formula,
         "reports": {
             f"{algo}/{mode}": {
-                "tre_tve_percent": r.tre_tve,
-                "tre_fe_mhz": r.tre_fe,
-                "tre_rfe_hz_per_s": r.tre_rfe,
+                **{key: getattr(r, index) for index, _, key in TRACKING_INDICES},
                 "kept_count": r.kept_count,
                 "total_count": r.total_count,
                 "compression_ratio": r.compression_ratio,

@@ -106,8 +106,8 @@ class PiecewisePoly:
         lo, hi = self.domain
         if np.any(t < lo) or np.any(t > hi):
             raise DomainError(f"evaluation time outside domain [{lo}, {hi}]")
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        return np.clip(idx, 0, self.coefficients.shape[0] - 1)
+        # an interior breakpoint starts the next piece, the domain's end is in the last
+        return np.searchsorted(self.breakpoints[1:-1], t, side="right")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -147,13 +147,12 @@ class PiecewisePoly:
     def restrict(self, lo: float, hi: float) -> "PiecewisePoly":
         """Return the same polynomial limited to the sub-domain [lo, hi]."""
         d_lo, d_hi = self.domain
-        if lo < d_lo or hi > d_hi or lo >= hi:
+        if not d_lo <= lo < hi <= d_hi:  # a NaN bound fails it too
             raise DomainError("restriction must be a non-empty sub-interval of the domain")
         if lo == d_lo and hi == d_hi:
             return self
-        i0 = min(np.searchsorted(self.breakpoints, lo, side="right") - 1,
-                 self.coefficients.shape[0] - 1)
-        i1 = max(np.searchsorted(self.breakpoints, hi, side="left") - 1, i0)
+        i0 = np.searchsorted(self.breakpoints, lo, side="right") - 1
+        i1 = np.searchsorted(self.breakpoints, hi, side="left") - 1
         bp = np.concatenate(([lo], self.breakpoints[i0 + 1:i1 + 1], [hi]))
         co = self.coefficients[i0:i1 + 1].copy()
         co[0] = _shift_origin(co[0], lo - self.breakpoints[i0])

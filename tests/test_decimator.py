@@ -16,7 +16,6 @@ from pmustream.decimator import (
     DecisionRecord,
     Decimator,
     Thresholds,
-    _deviations,
     decide,
     decimate_stream,
     predict,
@@ -80,8 +79,20 @@ def offline_keep_indices(triplets, thresholds, f0) -> list[int]:
 
 
 def epsilon(last_kept, incoming, thresholds, f0) -> np.ndarray:
-    """Normalized deviation vector between prediction and incoming triplet."""
-    return np.array(_deviations(last_kept, incoming, thresholds, f0))
+    """Normalized deviation vector between prediction and incoming triplet,
+    written apart from ``decide``: each |prediction - incoming| over its
+    threshold, the phasor's also over the kept magnitude (inf when that is 0).
+    Magnitudes are Python's ``abs``, as in ``decide``: numpy's complex
+    ``abs`` and ``math.hypot`` may round the last bit differently."""
+    phasor, freq, rocof = predict(last_kept, incoming.t - last_kept.t, f0)
+    scale = np.array([thresholds.delta_tve * abs(last_kept.phasor), thresholds.delta_fe,
+                      thresholds.delta_rfe])
+    dev = np.array([abs(phasor - incoming.phasor), abs(freq - incoming.frequency),
+                    abs(rocof - incoming.rocof)])
+    if scale[0] == 0.0:
+        dev[0], scale[0] = math.inf, 1.0
+    with np.errstate(invalid="ignore"):  # inf / inf: an overflowed phasor deviation
+        return dev / scale
 
 
 def oracle_decide(last_kept, incoming, thresholds, f0):
@@ -157,27 +168,29 @@ class TestPredict:
 # ----------------------------------------------------------------- epsilon
 
 class TestEpsilon:
+    """The normalized deviations that ``decide`` records."""
+
     def test_exact_prediction_gives_zero(self):
         last = triplet(0.0, 230.0, 50.2, -1.0)
         phasor, freq, rocof = predict(last, 0.05, F0)
         incoming = triplet(0.05, phasor, freq, rocof)
-        np.testing.assert_allclose(epsilon(last, incoming, DEFAULTS, F0), 0.0, atol=1e-14)
+        record, _ = decide(last, incoming, DEFAULTS, F0)
+        np.testing.assert_allclose(record.epsilon, 0.0, atol=1e-14)
 
     def test_boundary_deviation_not_kept(self):
         state = triplet(0.0, 230.0, 50.0, 0.0)
         incoming = triplet(0.01, 230.0, 50.0 + DEFAULTS.delta_fe, 0.0)
-        eps = epsilon(state, incoming, DEFAULTS, F0)
-        np.testing.assert_allclose(eps, [0.0, 1.0, 0.0], atol=1e-12)
         record, new_state = decide(state, incoming, DEFAULTS, F0)
+        np.testing.assert_allclose(record.epsilon, [0.0, 1.0, 0.0], atol=1e-12)
         assert not record.kept
         assert new_state is state
 
     def test_hand_computed_components(self):
         state = triplet(0.0, 230.0, 50.0, 0.0)
         incoming = triplet(0.01, 229.0, 50.0005, 0.05)
-        eps = epsilon(state, incoming, DEFAULTS, F0)
+        record, _ = decide(state, incoming, DEFAULTS, F0)
         np.testing.assert_allclose(
-            eps,
+            record.epsilon,
             [1.0 / (1e-3 * 230.0), 0.0005 / 1e-3, 0.05 / 0.07],
             rtol=1e-9,
         )
@@ -185,15 +198,14 @@ class TestEpsilon:
     def test_zero_magnitude_reference_forces_keep(self):
         state = triplet(0.0, 0.0, 50.0, 0.0)
         incoming = triplet(0.01, 230.0, 50.0, 0.0)
-        eps = epsilon(state, incoming, DEFAULTS, F0)
-        assert eps[0] == math.inf
         record, _ = decide(state, incoming, DEFAULTS, F0)
+        assert record.epsilon[0] == math.inf
         assert record.kept and record.binding_quantity == "phasor"
 
     def test_non_advancing_time_rejected(self):
         state = triplet(1.0, 230.0, 50.0, 0.0)
         with pytest.raises(SequencingError):
-            epsilon(state, triplet(1.0, 230.0, 50.0, 0.0), DEFAULTS, F0)
+            decide(state, triplet(1.0, 230.0, 50.0, 0.0), DEFAULTS, F0)
 
 
 # ------------------------------------------------------------------- decide

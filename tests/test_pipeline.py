@@ -24,7 +24,8 @@ from pmustream import cli, pipeline
 from pmustream.cli import main as cli_main
 from pmustream.decimator import Thresholds, decimate_stream, reconstruct
 from pmustream.errors import ConfigError, InvalidInputError, ProfileError
-from pmustream.estimators import ALGORITHMS, EstimatorConfig, TripletSeries, run_estimator
+from pmustream.estimators import (ALGORITHMS, EstimatorConfig, EstimatorKind, TripletSeries,
+                                  run_estimator)
 from pmustream.metrics import TRE_FORMULAS, instantaneous_rr, tracking_indices
 from pmustream.pipeline import (
     ExperimentConfig,
@@ -278,7 +279,7 @@ class TestRunExperiment:
         _, n_first, n_last, left, right = evaluation_window(config)
         block = synth_three_phase(
             gt, (n_first - left) / config.fs, n_last - n_first + left + right + 1)
-        triplets = run_estimator(config.kind("i_ipdft"), block, est,
+        triplets = run_estimator(EstimatorKind("i_ipdft"), block, est,
                                  n_first / config.fs, n_last / config.fs)
         kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
         grid = np.arange(n_first, n_last + 1) / config.fs
@@ -429,7 +430,7 @@ class TestRunExperiment:
         _, n_first, n_last, left, right = evaluation_window(config)
         block = synth_three_phase(
             gt, (n_first - left) / config.fs, n_last - n_first + left + right + 1)
-        triplets = run_estimator(config.kind("p_iec"), block, est,
+        triplets = run_estimator(EstimatorKind("p_iec"), block, est,
                                  n_first / config.fs, n_last / config.fs)
         kept, _ = decimate_stream(triplets, config.thresholds, config.f0)
         grid = np.arange(n_first, n_last + 1) / config.fs
@@ -507,6 +508,22 @@ class TestRunExperiment:
                     {"algorithms": ("p_iec", "dft")}, {"fs": 1e308, "f0": 1e-10}):
             with pytest.raises(ConfigError, match="invalid estimator setup"):
                 ExperimentConfig(profile_path="steady_nominal", **bad)
+
+    def test_run_builds_no_estimator_kind(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(profile_path="steady_nominal", ipdft_iterations=2,
+                                  algorithms=("i_ipdft", "p_iec", "i_ipdft"),
+                                  fixed_baselines=(), output_dir=str(tmp_path / "out"))
+        assert config.algorithms == ("i_ipdft", "p_iec")
+        assert config.kinds == (EstimatorKind("i_ipdft", 2), EstimatorKind("p_iec", 2))
+        built, used = [], []
+        post_init = EstimatorKind.__post_init__
+        monkeypatch.setattr(EstimatorKind, "__post_init__",
+                            lambda kind: built.append(kind) or post_init(kind))
+        monkeypatch.setattr(pipeline, "run_estimator",
+                            lambda kind, *args: used.append(kind) or run_estimator(kind, *args))
+        run_experiment(config)
+        assert built == []
+        assert len(used) == 2 and all(u is k for u, k in zip(used, config.kinds))
 
     def test_evaluation_window_of_bundled_profiles(self):
         for name, window in BUNDLED_WINDOWS.items():

@@ -266,6 +266,28 @@ class TestFitMatchesLoopOracle:
             assert got_poly.breakpoints.tobytes() == want_poly.breakpoints.tobytes(), name
             assert got_poly.coefficients.tobytes() == want_poly.coefficients.tobytes(), name
 
+
+def clip_piece_index(poly: PiecewisePoly, t: np.ndarray) -> np.ndarray:
+    """The piece of each time as first written: a search of every breakpoint,
+    clipped to the pieces."""
+    idx = np.searchsorted(poly.breakpoints, t, side="right") - 1
+    return np.clip(idx, 0, poly.coefficients.shape[0] - 1)
+
+
+class TestPieceIndexMatchesClipForm:
+    @given(points=anchor_arrays(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8))
+    @example(points=TWO_POINTS, fractions=[])
+    def test_piece_index_bitwise(self, points, fractions):
+        # every breakpoint, one ulp either side of it inside the domain, both
+        # domain ends and a few times in between
+        poly = pchip_fit(AnchorSeries(*points))
+        bp = poly.breakpoints
+        lo, hi = poly.domain
+        t = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                            lo + (hi - lo) * np.array(fractions)])
+        t = t[(t >= lo) & (t <= hi)]
+        assert poly._piece_index(t).tobytes() == clip_piece_index(poly, t).tobytes()
+
 # ---------------------------------------------------------- integrate_phase
 
 class TestIntegratePhase:
@@ -564,6 +586,12 @@ class TestWaveformInvariants:
             sub(0.3)
         with pytest.raises(DomainError, match="non-empty sub-interval"):
             poly.restrict(0.8, 0.2)
+
+    def test_restrict_refuses_nan_bounds(self):
+        poly = pchip_fit(series((0, 1.0), (1, 3.0), (2, 2.0), (3, 5.0)))
+        for lo, hi in ((math.nan, 2.5), (0.5, math.nan), (math.nan, math.nan)):
+            with pytest.raises(DomainError, match="non-empty sub-interval"):
+                poly.restrict(lo, hi)
 
     def test_antiderivative_is_continuous(self):
         poly = pchip_fit(series((0, 1.0), (1, -2.0), (2, 0.5), (3, 1.5)))
