@@ -102,27 +102,24 @@ class PiecewisePoly:
     def degree(self) -> int:
         return self.coefficients.shape[1] - 1
 
-    def _piece_index(self, t: np.ndarray) -> np.ndarray:
-        lo, hi = self.domain
-        if np.any(t < lo) or np.any(t > hi):
-            raise DomainError(f"evaluation time outside domain [{lo}, {hi}]")
-        # an interior breakpoint starts the next piece, the domain's end is in the last
-        return np.searchsorted(self.breakpoints[1:-1], t, side="right")
-
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        idx = self._piece_index(t_arr)
-        dt = t_arr - self.breakpoints[idx]
-        # Horner over one gathered coefficient column at a time, so no
-        # (n, degree+1) gather is ever materialized
-        co = self.coefficients
-        out = co[idx, 0]
-        for j in range(1, co.shape[1]):
-            out *= dt
-            out += co[idx, j]
-        return float(out[0]) if scalar else out
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty_like(t_arr)
+        if not out.size:
+            return out
+        lo, hi = self.domain
+        # NaN fails every comparison, so it is refused with unsorted times
+        if t_arr.ndim > 1 or not (lo <= t_arr[0] and t_arr[-1] <= hi
+                                  and np.all(t_arr[1:] >= t_arr[:-1])):
+            raise DomainError(f"evaluation times must be sorted, 1-D and inside [{lo}, {hi}]")
+        # on sorted times each piece's points form one run: an interior
+        # breakpoint starts the next piece, the domain's end is in the last
+        bp = self.breakpoints
+        first, last = np.searchsorted(bp[1:-1], t_arr[[0, -1]], side="right")
+        ends = np.searchsorted(t_arr, bp[first + 1:last + 1], side="left").tolist()
+        for i, a, b in zip(range(first, last + 1), [0] + ends, ends + [out.size]):
+            out[a:b] = _horner(self.coefficients[i], t_arr[a:b] - bp[i])
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def derivative(self) -> "PiecewisePoly":
         deg = self.degree
@@ -159,9 +156,10 @@ class PiecewisePoly:
         return PiecewisePoly(bp, co)
 
 
-def _horner(coeffs: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
+def _horner(coeffs: np.ndarray, x):
+    # x is a float or an array; a start from 0.0 would turn a -0.0 lead into +0.0
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * x + c
     return acc
 

@@ -255,38 +255,96 @@ class TestFitMatchesLoopOracle:
            frequency=anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)))
     @example(amplitude=(np.array([0.0, 1.0, 2.5, 4.0]), np.array([230.0, 229.0, 231.0, 230.0])),
              frequency=(np.array([0.5, 1.5, 3.0]), np.array([50.0, 49.5, 50.0])))
+    # a secant ratio 0.5 / 5e-324 overflows the limiter to a NaN slope
+    @example(amplitude=(np.array([0.0, 2.0]), np.array([-1.0, -1.0])),
+             frequency=(np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.0, 5e-324])))
     def test_from_anchors_on_unequal_spans_bitwise(self, amplitude, frequency):
+        # from_anchors refuses exactly the anchors whose loop-form tables are
+        # not all finite, and matches them bit for bit on the rest
         amp, freq = AnchorSeries(*amplitude), AnchorSeries(*frequency)
         lo, hi = max(amp.domain[0], freq.domain[0]), min(amp.domain[1], freq.domain[1])
         assume(lo < hi and amp.domain != freq.domain)
+        names = ("amplitude", "frequency", "phase", "rocof")
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = GroundTruth.from_anchors(amp, freq), loop_ground_truth(amp, freq)
-        for name in ("amplitude", "frequency", "phase", "rocof"):
+            want = loop_ground_truth(amp, freq)
+        if not all(np.isfinite(getattr(want, name).coefficients).all() for name in names):
+            with pytest.raises(InvalidInputError, match="non-finite coefficients"):
+                GroundTruth.from_anchors(amp, freq)
+            return
+        got = GroundTruth.from_anchors(amp, freq)
+        for name in names:
             got_poly, want_poly = getattr(got, name), getattr(want, name)
             assert got_poly.breakpoints.tobytes() == want_poly.breakpoints.tobytes(), name
             assert got_poly.coefficients.tobytes() == want_poly.coefficients.tobytes(), name
 
 
-def clip_piece_index(poly: PiecewisePoly, t: np.ndarray) -> np.ndarray:
-    """The piece of each time as first written: a search of every breakpoint,
-    clipped to the pieces."""
-    idx = np.searchsorted(poly.breakpoints, t, side="right") - 1
-    return np.clip(idx, 0, poly.coefficients.shape[0] - 1)
+def gathered_call(poly: PiecewisePoly, t):
+    """PiecewisePoly.__call__ as first written: each point's piece by its own
+    search, then Horner over one gathered coefficient column at a time."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.searchsorted(poly.breakpoints[1:-1], t_arr, side="right")
+    dt = t_arr - poly.breakpoints[idx]
+    co = poly.coefficients
+    out = co[idx, 0]
+    for j in range(1, co.shape[1]):
+        out *= dt
+        out += co[idx, j]
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
-class TestPieceIndexMatchesClipForm:
+# a fit whose middle piece leads with -0.0: (0 + 0 - 2 * 5e-324) / 3**2 underflows
+NEGATIVE_ZERO_LEAD = (np.array([0.0, 1.0, 4.0, 5.0]), np.array([0.0, 0.0, 1e-323, 1e-323]))
+
+
+class TestEvaluationMatchesGatherForm:
+    """Each piece evaluated on its run of sorted times gives every value bit
+    for bit as the per-point gather does."""
+
     @given(points=anchor_arrays(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8))
     @example(points=TWO_POINTS, fractions=[])
-    def test_piece_index_bitwise(self, points, fractions):
+    @example(points=EXTREMUM, fractions=[0.5])
+    @example(points=NEGATIVE_ZERO_LEAD, fractions=[0.1, 0.5])
+    def test_runs_match_gathered_bitwise(self, points, fractions):
         # every breakpoint, one ulp either side of it inside the domain, both
-        # domain ends and a few times in between
-        poly = pchip_fit(AnchorSeries(*points))
-        bp = poly.breakpoints
-        lo, hi = poly.domain
+        # domain ends and a few times in between, sorted
+        fit = pchip_fit(AnchorSeries(*points))
+        bp = fit.breakpoints
+        lo, hi = fit.domain
         t = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
                             lo + (hi - lo) * np.array(fractions)])
-        t = t[(t >= lo) & (t <= hi)]
-        assert poly._piece_index(t).tobytes() == clip_piece_index(poly, t).tobytes()
+        t = np.sort(t[(t >= lo) & (t <= hi)])
+        for poly in (fit, integrate_phase(fit, 50.0), fit.derivative()):
+            assert poly(t).tobytes() == gathered_call(poly, t).tobytes()
+            for s in (lo, float(t[t.size // 2]), hi):
+                got = poly(s)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(gathered_call(poly, s)).tobytes()
+
+    def test_fits_can_lead_with_negative_zero(self):
+        # so a Horner started from 0.0, not from the leading coefficient,
+        # could flip the sign of a zero value
+        assert np.signbit(pchip_fit(AnchorSeries(*NEGATIVE_ZERO_LEAD)).coefficients[1, 0])
+        poly = PiecewisePoly(np.array([0.0, 1.0]), np.full((1, 4), -0.0))
+        t = np.array([0.0, 0.5, 1.0])
+        assert np.all(np.signbit(poly(t))) and np.signbit(poly(0.5))
+        assert poly(t).tobytes() == gathered_call(poly, t).tobytes()
+
+
+class TestEvaluationDomain:
+    def test_refuses_nan_unsorted_and_outside_times(self):
+        gt = steady_gt(span=2.0)
+        refused = (math.nan, np.array([0.5, math.nan]), np.array([math.nan, 0.5]),
+                   np.array([0.5, math.nan, 0.7]), np.array([1.5, 0.5]), -0.1,
+                   np.array([0.5, 2.1]), np.array([[0.5, 0.7]]))
+        for t in refused:
+            with pytest.raises(DomainError, match="sorted, 1-D and inside"):
+                gt.amplitude(t)
+        with pytest.raises(DomainError, match="sorted, 1-D and inside"):
+            eval_reference(gt, math.nan)
+
+    def test_empty_times_give_empty_values(self):
+        out = steady_gt(span=2.0).phase(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
 
 # ---------------------------------------------------------- integrate_phase
 
@@ -543,7 +601,7 @@ class TestWaveformInvariants:
         )
         rng = np.random.default_rng(3)
         h = 1e-6
-        t = rng.uniform(0.01, 2.99, 100)
+        t = np.sort(rng.uniform(0.01, 2.99, 100))
         t = t[np.all(np.abs(t[:, None] - gt.frequency.breakpoints[None, :]) > 2 * h, axis=1)]
         fd = (gt.phase(t + h) - gt.phase(t - h)) / (2 * h)
         expected = 2 * math.pi * (gt.frequency(t) - gt.f0)
