@@ -93,6 +93,8 @@ class EstimatorConfig:
             if n < 1 or abs(ratio - n) > 1e-9:
                 raise InvalidInputError(f"fs must be a whole multiple of {name}")
             object.__setattr__(self, attr, n)
+        if self.m < 3:  # i_ipdft's bins 2..4 must lie below n/2 of its 3M-sample window
+            raise InvalidInputError("fs must exceed twice f0")
 
     @property
     def ts(self) -> float:

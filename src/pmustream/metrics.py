@@ -56,13 +56,13 @@ def tracking_indices(
     return tre_tve, tre_fe, tre_rfe
 
 
-def instantaneous_rr(kept_times) -> list[tuple[float, float]]:
+def instantaneous_rr(kept_times) -> tuple[np.ndarray, np.ndarray]:
     """Instantaneous reporting rate at each kept instant after the first: the
-    reciprocal of the gap to the previous kept instant."""
+    columns (instant, reciprocal of the gap to the previous kept instant)."""
     t = np.asarray(kept_times, dtype=float)
     if t.size == 0:
         raise InvalidInputError("need at least one kept instant")
-    return list(zip(t[1:].tolist(), (1.0 / np.diff(t)).tolist()))
+    return t[1:], 1.0 / np.diff(t)
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,9 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
 
-    columns: dict[str, list[tuple[float, float]]] = {
-        AMPLITUDE_QUANTITY: [],
-        FREQUENCY_QUANTITY: [],
+    columns: dict[str, tuple[list[float], list[float]]] = {  # (times, values)
+        AMPLITUDE_QUANTITY: ([], []),
+        FREQUENCY_QUANTITY: ([], []),
     }
     header_seen = False
     for row_no, raw in enumerate(lines, start=1):
@@ -162,19 +162,19 @@ def parse_profile(path: str | Path) -> tuple[AnchorSeries, AnchorSeries]:
             raise ProfileError(f"non-numeric cell in {line!r}", row=row_no) from None
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ProfileError("time and value must be finite", row=row_no)
-        series = columns[quantity]
-        if series and t <= series[-1][0]:
+        times, values = columns[quantity]
+        if times and t <= times[-1]:
             raise ProfileError(
-                f"{quantity} time {t} does not increase past {series[-1][0]}", row=row_no)
-        series.append((t, v))
+                f"{quantity} time {t} does not increase past {times[-1]}", row=row_no)
+        times.append(t)
+        values.append(v)
 
     if not header_seen:
         raise ProfileError("profile file has no header row")
-    for quantity, rows in columns.items():
-        if len(rows) < 2:
+    for quantity, (times, _) in columns.items():
+        if len(times) < 2:
             raise ProfileError(f"profile needs at least 2 {quantity} rows")
-    return (AnchorSeries.from_points(columns[AMPLITUDE_QUANTITY]),
-            AnchorSeries.from_points(columns[FREQUENCY_QUANTITY]))
+    return AnchorSeries(*columns[AMPLITUDE_QUANTITY]), AnchorSeries(*columns[FREQUENCY_QUANTITY])
 
 
 def evaluation_window(config: ExperimentConfig) -> tuple[GroundTruth, int, int, int, int]:
@@ -241,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
         _write_frames(out_dir / f"kept_{name}_adaptive.jsonl", stream, records, adaptive_kept)
         rr = instantaneous_rr(stream.t[adaptive_kept])
         (out_dir / f"instantaneous_rr_{name}_adaptive.csv").write_text(
-            "t_s,rr_fps\n" + _csv_lines(*map(_cells, zip(*rr))), encoding="utf-8")
+            "t_s,rr_fps\n" + _csv_lines(*map(_cells, rr)), encoding="utf-8")
         if config.emit_decisions:
             _write_frames(out_dir / f"decisions_{name}_adaptive.jsonl", stream, records,
                           np.arange(total), decisions=True)
@@ -261,28 +261,23 @@ def emit_table(reports: dict[tuple[str, str], TrackingReport],
     """Long-format CSV plus human-readable table of the ``run_experiment``
     reports for ``config``, in its algorithm and mode order."""
     algorithms = config.algorithms
-    modes = [mode for mode, _ in config.modes]
-    adaptive = [reports[(algo, "adaptive")] for algo in algorithms]
-    csv_lines = ["index,rr_mode,algorithm,value"]
-    for index, label, _ in TRACKING_INDICES:
-        for mode in modes:
-            for algo in algorithms:
-                value = getattr(reports[(algo, mode)], index)
-                csv_lines.append(f"{label},{mode},{algo},{value!r}")
-    for algo, report in zip(algorithms, adaptive):
-        csv_lines.append(f"compression_ratio,adaptive,{algo},{report.compression_ratio!r}")
-
     width = 14
     header = f"{'Index':<16}{'RR':<12}" + "".join(f"{a:>{width}}" for a in algorithms)
     sep = "-" * len(header)
+    csv_lines = ["index,rr_mode,algorithm,value"]
     human = [header, sep]
+
+    def row(csv_label: str, label: str, mode: str, values: list[float]) -> None:
+        csv_lines.extend(f"{csv_label},{mode},{algo},{value!r}"
+                         for algo, value in zip(algorithms, values))
+        human.append(f"{label:<16}{mode:<12}" + "".join(f"{v:>{width}.4g}" for v in values))
+
     for index, label, _ in TRACKING_INDICES:
-        for mode in modes:
-            human.append(f"{label:<16}{mode:<12}" + "".join(
-                f"{getattr(reports[(algo, mode)], index):>{width}.4g}" for algo in algorithms))
+        for mode, _ in config.modes:
+            row(label, label, mode, [getattr(reports[(algo, mode)], index) for algo in algorithms])
         human.append(sep)
-    human.append(f"{'Compression':<16}{'adaptive':<12}" + "".join(
-        f"{r.compression_ratio:>{width}.4g}" for r in adaptive))
+    row("compression_ratio", "Compression", "adaptive",
+        [reports[(algo, "adaptive")].compression_ratio for algo in algorithms])
     return "\n".join(csv_lines) + "\n", "\n".join(human) + "\n"
 
 

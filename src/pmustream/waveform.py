@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -60,11 +59,6 @@ class AnchorSeries:
             raise InvalidInputError("anchor times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "AnchorSeries":
-        pts = list(points)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -365,9 +359,5 @@ def eval_reference(gt: GroundTruth, t):
     The phasor is ``A(t)*exp(j*phi(t))`` in rms volts; frequency in Hz and
     ROCOF in Hz/s come straight from the analytic profiles.
     """
-    amp = gt.amplitude(t)
-    phase = gt.phase(t)
-    phasor = amp * np.exp(1j * np.asarray(phase))
-    if np.ndim(t) == 0:
-        phasor = complex(phasor)
+    phasor = gt.amplitude(t) * np.exp(1j * np.asarray(gt.phase(t)))
     return phasor, gt.frequency(t), gt.rocof(t)

@@ -46,7 +46,7 @@ ODD_M_CFG = EstimatorConfig(fs=10_050.0, internal_rate=50.0)
 
 
 def series(*points) -> AnchorSeries:
-    return AnchorSeries.from_points(points)
+    return AnchorSeries(*zip(*points))
 
 
 def steady_gt(freq=50.0, amp=230.0, span=3.0, fs=CFG.fs) -> GroundTruth:
@@ -758,7 +758,12 @@ class TestEstimatorInvariants:
                     {"fs": 1.0, "f0": 1e300, "internal_rate": 1e300}, {"fs": 1.0, "f0": 2.0}):
             with pytest.raises(InvalidInputError, match="whole multiple"):
                 EstimatorConfig(**bad)
-        assert EstimatorConfig(f0=50.0, fs=50.0, internal_rate=50.0).m == 1
+        # i_ipdft's bins 2..4 lie below n/2 of its 3M-sample window from M = 3 on;
+        # at M = 1 and M = 2 a run used to exit 0 with TrE_TVE near 100 %
+        for fs in (50.0, 100.0):
+            with pytest.raises(InvalidInputError, match="fs must exceed twice f0"):
+                EstimatorConfig(f0=50.0, fs=fs, internal_rate=50.0)
+        assert EstimatorConfig(f0=50.0, fs=150.0, internal_rate=50.0).m == 3
 
     def test_kind_validates_iteration_count(self):
         # 2.5 used to fail in range() at the first i_ipdft report, and -1

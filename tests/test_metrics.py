@@ -236,18 +236,19 @@ class TestTrackingIndices:
 
 class TestThroughputStats:
     def test_all_kept(self):
-        inst = instantaneous_rr([h * 0.01 for h in range(100)])
-        assert len(inst) == 99
-        assert all(rr == pytest.approx(100.0, rel=1e-9) for _, rr in inst)
+        t, rr = instantaneous_rr([h * 0.01 for h in range(100)])
+        assert t.size == rr.size == 99
+        assert all(r == pytest.approx(100.0, rel=1e-9) for r in rr.tolist())
 
     def test_single_keep(self):
-        assert instantaneous_rr([0.0]) == []
+        t, rr = instantaneous_rr([0.0])
+        assert t.tolist() == rr.tolist() == []
 
     def test_reciprocal_intervals(self):
-        inst = instantaneous_rr([0.0, 0.01, 0.21])
-        assert len(inst) == 2
-        assert inst[0][1] == pytest.approx(100.0, rel=1e-9)
-        assert inst[1][1] == pytest.approx(5.0, rel=1e-9)
+        t, rr = instantaneous_rr([0.0, 0.01, 0.21])
+        assert t.tolist() == [0.01, 0.21]
+        assert rr[0] == pytest.approx(100.0, rel=1e-9)
+        assert rr[1] == pytest.approx(5.0, rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -465,8 +465,8 @@ class TestRunExperiment:
             with (out / f"instantaneous_rr_{algo}_adaptive.csv").open(encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["t_s", "rr_fps"]
-            assert [(float(t), float(rr)) for t, rr in rows[1:]] == \
-                instantaneous_rr([d["t"] for d in kept])
+            t, rr = instantaneous_rr([d["t"] for d in kept])
+            assert [tuple(map(float, r)) for r in rows[1:]] == list(zip(t.tolist(), rr.tolist()))
 
     def test_float_divisors_normalised(self, tmp_path):
         outputs = []
@@ -721,6 +721,25 @@ class TestEmitTable:
         header = human.splitlines()[0]
         assert "p_iec" in header and "i_ipdft" in header
 
+    def test_csv_and_text_tables_agree_cell_for_cell(self, tmp_path):
+        # each CSV value, formatted as the text table formats it, is the text
+        # cell of its row and algorithm column, in the same order
+        config = ExperimentConfig(profile_path="steady_nominal", fixed_baselines=(2, 10),
+                                  output_dir=str(tmp_path / "out"))
+        csv_text, human = emit_table(run_experiment(config), config)
+        header, *lines = human.splitlines()
+        algorithms = header[28:].split()
+        assert algorithms == list(config.algorithms)
+        cells = [(line[:16].strip(), line[16:28].strip(), algo, cell)
+                 for line in lines if not line.startswith("-")
+                 for algo, cell in zip(algorithms, line[28:].split(), strict=True)]
+        labels = {"compression_ratio": "Compression"}
+        expected = [(labels.get(label, label), mode, algo, f"{float(value):.4g}")
+                    for label, mode, algo, value in
+                    (row.split(",") for row in csv_text.splitlines()[1:])]
+        assert len(expected) == 3 * 4 * 2 + 2  # indices x modes x algorithms + ratios
+        assert cells == expected
+
 
 # -------------------------------------------------------------- load_config
 
@@ -945,6 +964,19 @@ class TestCli:
             assert result.exit_code == 2, (argv, result.output)
             assert result.output.startswith("error: fixed baseline divisors 10000000 and "
                                             "10000001 share the mode label '1e-05fps'")
+
+    def test_sampling_at_or_below_nyquist_exit_2(self, tmp_path):
+        # at two samples per cycle i_ipdft's bins fold over its window's
+        # half: a run used to exit 0 with a TrE_TVE near 100 %
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nprofile = abrupt_collapse\nf0 = 50\nfs = 100\n"
+                       "rr_in = 50\n", encoding="utf-8")
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(ini),
+                                               "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: invalid estimator setup: "
+                                        "fs must exceed twice f0")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edge", sorted(EDGE_SPANS))
     def test_span_edges_off_the_grid_by_rounding_run(self, tmp_path, edge):

@@ -31,7 +31,7 @@ from pmustream.waveform import (
 
 
 def series(*points) -> AnchorSeries:
-    return AnchorSeries.from_points(points)
+    return AnchorSeries(*zip(*points))
 
 
 def steady_gt(amp=230.0, freq=50.0, f0=50.0, span=10.0, fs=10_000.0, phase0=0.0) -> GroundTruth:
