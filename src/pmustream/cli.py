@@ -49,12 +49,8 @@ def main():
               help="Write dense reconstructed-vs-reference traces.")
 def run(config_path, algorithms, **flags):
     """Run one experiment and write tables, logs and plot data."""
-    try:
+    try:  # load_config raises only ConfigError, so config is set past it
         config = load_config(config_path, algorithms=algorithms or None, **flags)
-    except INPUT_ERRORS as exc:
-        _fail(str(exc), EXIT_CONFIG)
-
-    try:
         reports = run_experiment(config)
     except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_CONFIG)

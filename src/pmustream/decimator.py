@@ -138,20 +138,21 @@ def serving_rows(series: TripletSeries, kept, query_times,
 
     ``kept`` indexes the rows of ``series`` that reached the receiver.  A
     query within ``ts/2`` of a kept timestamp is served by that row exactly;
-    any other query by the most recent kept row at or before it.
+    any other query by the most recent kept row at or before it.  A query with
+    no kept row at or before ``q + ts/2``, or not finite, is refused.
     """
     kept = np.asarray(kept, dtype=np.intp)
-    if kept.size == 0:
-        raise InvalidInputError("need at least one kept triplet")
+    if kept.size == 0 or kept.min() < 0 or kept.max() >= len(series):
+        raise InvalidInputError("kept must hold at least one row index of the series")
     kt = series.t[kept]
-    if np.any(kt[1:] <= kt[:-1]):
+    if not np.all(kt[1:] > kt[:-1]):  # a NaN time fails it too
         raise SequencingError("kept triplets must be strictly time-ordered")
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     tol = ts / 2.0
-    if np.any(q < kt[0] - tol):
-        raise DomainError("query precedes the first kept triplet")
 
     idx = np.searchsorted(kt, q + tol, side="right") - 1
+    if np.any(idx < 0) or not np.all(np.isfinite(q)):
+        raise DomainError("query is not finite or precedes the first kept triplet")
     # kt[idx] <= q + tol, so q - kt[idx] >= -tol up to rounding: testing its
     # absolute value would send such a rounding case to a backward prediction
     # instead of the row

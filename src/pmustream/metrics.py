@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError
+from .errors import InvalidInputError, SequencingError, UndefinedMetricError
 from .estimators import TripletSeries
 
 TRE_FORMULAS = ("rms", "printed")
@@ -62,6 +62,8 @@ def instantaneous_rr(kept_times) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(kept_times, dtype=float)
     if t.size == 0:
         raise InvalidInputError("need at least one kept instant")
+    if not np.all(t[1:] > t[:-1]):  # a NaN instant fails it too
+        raise SequencingError("kept instants must be strictly increasing")
     return t[1:], 1.0 / np.diff(t)
 
 

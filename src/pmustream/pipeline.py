@@ -239,9 +239,9 @@ def run_experiment(config: ExperimentConfig) -> dict[tuple[str, str], TrackingRe
                 traces.append((out_dir / f"trace_{name}_{mode}.csv", stream, kept))
 
         _write_frames(out_dir / f"kept_{name}_adaptive.jsonl", stream, records, adaptive_kept)
-        rr = instantaneous_rr(stream.t[adaptive_kept])
+        rr = map(_cells, instantaneous_rr(stream.t[adaptive_kept]))
         (out_dir / f"instantaneous_rr_{name}_adaptive.csv").write_text(
-            "t_s,rr_fps\n" + _csv_lines(*map(_cells, rr)), encoding="utf-8")
+            "\n".join(["t_s,rr_fps", *map(",".join, zip(*rr))]) + "\n", encoding="utf-8")
         if config.emit_decisions:
             _write_frames(out_dir / f"decisions_{name}_adaptive.jsonl", stream, records,
                           np.arange(total), decisions=True)
@@ -329,12 +329,6 @@ def _cells(values) -> list[str]:
     """CSV cells of ``values``: a cell is the repr of a Python float or int,
     the shortest text that reads back to the same value."""
     return list(map(repr, np.asarray(values).tolist()))
-
-
-def _csv_lines(*columns: list[str]) -> str:
-    """CSV text of the rows whose cells are ``columns``, one list each."""
-    text = "\n".join(map(",".join, zip(*columns)))
-    return text + "\n" if text else text
 
 
 def _write_traces(traces, reference: TripletSeries, f0: float, est: EstimatorConfig) -> None:
@@ -430,21 +424,19 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
 
     if parser.defaults():  # its keys would reach every section
         raise ConfigError(f"unknown section [{parser.default_section}] of config {path}")
-    for section in parser.sections():
+    values: dict = {}
+    thr: dict = {}
+    for section in parser.sections():  # in file order: the first offending key is named
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}] of config {path}")
+        target = thr if section == "thresholds" else values
         for key in parser[section]:
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of config {path}")
-
-    values: dict = {}
-    thr: dict = {}
-    try:
-        for section, target in (("experiment", values), ("thresholds", thr)):
-            for key, text in parser[section].items() if parser.has_section(section) else ():
-                target[KEY_FIELDS.get(key, key)] = CONFIG_KEYS[section][key](text)
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad value in config {path}: {exc}") from exc
+            try:
+                target[KEY_FIELDS.get(key, key)] = CONFIG_KEYS[section][key](parser[section][key])
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"bad value in config {path}: {exc}") from exc
     for name, value in overrides.items():
         if value is not None:
             (thr if name in CONFIG_KEYS["thresholds"] else values)[name] = value

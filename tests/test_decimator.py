@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import struct
@@ -312,17 +313,26 @@ class TestReconstruct:
                     getattr(whole, name), err_msg=f"{name} in chunks of {step}")
 
     def test_query_before_first_kept_rejected(self):
-        with pytest.raises(DomainError):
-            reconstruct(TripletSeries.from_triplets([triplet(1.0, 230.0, 50.0, 0.0)]), [0],
-                        [0.5], F0, ts=1e-4)
+        # a NaN query returned a NaN row, an infinite one warned
+        for query in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                reconstruct(TripletSeries.from_triplets([triplet(1.0, 230.0, 50.0, 0.0)]), [0],
+                            [query], F0, ts=1e-4)
 
     def test_unordered_or_empty_kept_rejected(self):
         series = TripletSeries.from_triplets([triplet(h * 0.01, 230.0, 50.0, 0.0)
                                               for h in range(3)])
         with pytest.raises(SequencingError):
             reconstruct(series, [2, 1], [0.05], F0, ts=1e-4)
-        with pytest.raises(InvalidInputError):
-            reconstruct(series, [], [0.05], F0, ts=1e-4)
+        # a negative index served a row from the end of the series
+        for kept in ([], [-1], [0, -1], [0, 3]):
+            with pytest.raises(InvalidInputError):
+                reconstruct(series, kept, [0.05], F0, ts=1e-4)
+        nan_time = TripletSeries(np.array([0.0, math.nan, 0.02]), series.phasor,
+                                 series.frequency, series.rocof)
+        for kept in ([0, 1], [1, 2], [0, 1, 2]):
+            with pytest.raises(SequencingError):
+                reconstruct(nan_time, kept, [0.05], F0, ts=1e-4)
 
     def test_peak_below_eight_grid_arrays(self):
         # the result alone holds four float64 arrays of one value per query
@@ -583,6 +593,43 @@ class TestReconstructMatchesOracle:
         assert [exact for _, exact in oracle] == [True, True, True, False]
         out = reconstruct(TripletSeries.from_triplets(stream), [0, 2], queries, F0, ts=0.01)
         assert out.phasor[1] == stream[2].phasor and out.frequency[1] == stream[2].frequency
+
+
+@st.composite
+def first_kept_edges(draw):
+    """Kept times of either sign, a sample interval ``ts``, and queries at
+    ``kt[0] - ts/2``, one ulp either side of it, and anywhere."""
+    kt = sorted(set(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))))
+    ts = draw(st.floats(1e-7, 1e-2))
+    edge = kt[0] - ts / 2.0
+    queries = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return kt, ts, queries + draw(st.lists(st.floats(-1e3, 1e3), max_size=5))
+
+
+class TestServingRowsMatchesBisect:
+    @settings(max_examples=300)
+    @given(case=first_kept_edges())
+    # the query passes a q < kt[0] - ts/2 scan, yet no kept time is at or
+    # before q + ts/2: a refusal by that scan served it from the last kept row
+    @example(case=([-0.011808328301412985, 0.488191671698587, 0.988191671698587],
+                   0.018872842017284352, [-0.021244749310055162]))
+    def test_refuses_exactly_where_no_kept_time_serves(self, case):
+        kt, ts, queries = case
+        # unkept rows between the kept ones: the rows returned index the series
+        t = np.repeat(kt, 2)
+        t[1::2] += ts / 4.0
+        series = TripletSeries(t, np.full(t.size, 230.0 + 0j), np.full(t.size, F0),
+                               np.zeros(t.size))
+        kept = np.arange(0, t.size, 2)
+        for q in queries:
+            j = bisect.bisect_right(kt, q + ts / 2.0) - 1
+            if j < 0:
+                with pytest.raises(DomainError):
+                    serving_rows(series, kept, [q], ts)
+                continue
+            rows, got_q, exact = serving_rows(series, kept, [q], ts)
+            assert (rows.tolist(), got_q.tolist(), exact.tolist()) == (
+                [2 * j], [q], [q - kt[j] <= ts / 2.0])
 
 
 # ------------------------------------------ rigid-grid chunks of reconstruct

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pmustream.decimator import reconstruct
-from pmustream.errors import InvalidInputError, UndefinedMetricError
+from pmustream.errors import InvalidInputError, SequencingError, UndefinedMetricError
 from pmustream.estimators import MeasurementTriplet, TripletSeries
 from pmustream.metrics import TrackingReport, instantaneous_rr, tracking_indices
 from pmustream.waveform import AnchorSeries, GroundTruth, eval_reference
@@ -253,6 +253,13 @@ class TestThroughputStats:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             instantaneous_rr([])
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5], [0.0, math.nan]],
+                             ids=["repeated", "decreasing", "nan"])
+    def test_instants_not_increasing_rejected(self, times):
+        # these divided by zero, gave a negative rate or a NaN one
+        with pytest.raises(SequencingError, match="strictly increasing"):
+            instantaneous_rr(times)
 
 
 # ----------------------------------------------------- nearest_divisor_rate

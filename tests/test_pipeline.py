@@ -808,7 +808,13 @@ class TestLoadConfig:
          "bad config: .* unexpected keyword argument 'bogus'"),
         ("[experiment]\nprofile = steady_nominal\ntre_formula = x\n", {},
          re.escape(f"tre_formula must be one of {TRE_FORMULAS}")),
-    ], ids=["no_algorithm", "unknown_override", "unknown_tre_formula"])
+        # one walk refuses each key where it is cast: the first in the file is named
+        ("[experiment]\nprofile = steady_nominal\nf0 = fifty\nalgoritms = p_iec\n", {},
+         "bad value in config .*'fifty'"),
+        ("[thresholds]\ndelta_fe = x\n[threshold]\ndelta_fe = 1\n", {},
+         "bad value in config .*'x'"),
+    ], ids=["no_algorithm", "unknown_override", "unknown_tre_formula",
+            "bad_value_before_unknown_key", "bad_value_before_unknown_section"])
     def test_invalid_config_rejected(self, tmp_path, body, overrides, message):
         ini = None
         if body is not None:

@@ -16,7 +16,9 @@ be read).
 Run it once with each of two source trees on ``PYTHONPATH`` and ``diff`` the
 two listings to check that a change keeps every artifact byte-identical.
 Listings taken on different back ends may differ in the last bit of some
-values.
+values.  ``tests/test_artifact_digests.py`` checks a 65-file subset of the
+set, built from the same run arguments and listing, against the digests
+committed in ``tests/artifact_digests.txt``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,27 @@ def ufunc_targets() -> str:
         return f"{'/'.join(UFUNCS)} unknown"
 
 
+def backend_line() -> str:
+    """The first line of a listing: the numerics back end the bytes depend on."""
+    return f"# backend: numpy {np.__version__}; openblas {openblas_core()}; {ufunc_targets()}"
+
+
+def run_args(name: str, out: Path, traces: bool) -> list[str]:
+    """The ``pmustream run`` arguments that write profile ``name``'s reference
+    artifacts under ``out/name``, with its dense traces when ``traces``."""
+    args = ["run", "--profile", name, "--fixed", "2,10,20", "--emit-decisions",
+            "--out", str(out / name)]
+    return args + ["--emit-traces"] * traces
+
+
+def listing(out: Path) -> list[str]:
+    """The back-end line, then one ``sha256  relative/path`` line per file
+    under ``out``, sorted by path."""
+    return [backend_line()] + [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/artifact_digests.py OUT_DIR", file=sys.stderr)
@@ -73,16 +96,10 @@ def main(argv: list[str]) -> int:
         print(f"{out} is not empty; its files would mix into the listing", file=sys.stderr)
         return 2
     for name in list_profiles():
-        args = ["run", "--profile", name, "--fixed", "2,10,20", "--emit-decisions",
-                "--out", str(out / name)]
-        if name not in UNTRACED:
-            args.append("--emit-traces")
-        subprocess.run([sys.executable, "-m", "pmustream.cli", *args], check=True,
-                       stdout=subprocess.DEVNULL)
-    print(f"# backend: numpy {np.__version__}; openblas {openblas_core()}; {ufunc_targets()}")
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
+        subprocess.run([sys.executable, "-m", "pmustream.cli",
+                        *run_args(name, out, traces=name not in UNTRACED)],
+                       check=True, stdout=subprocess.DEVNULL)
+    print("\n".join(listing(out)))
     return 0
 
 
