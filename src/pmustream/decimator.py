@@ -141,6 +141,8 @@ def serving_rows(series: TripletSeries, kept, query_times,
     any other query by the most recent kept row at or before it.  A query with
     no kept row at or before ``q + ts/2``, or not finite, is refused.
     """
+    if not (math.isfinite(ts) and ts > 0):
+        raise InvalidInputError("ts must be finite and strictly positive")
     kept = np.asarray(kept, dtype=np.intp)
     if kept.size == 0 or kept.min() < 0 or kept.max() >= len(series):
         raise InvalidInputError("kept must hold at least one row index of the series")

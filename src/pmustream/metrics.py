@@ -46,13 +46,15 @@ def tracking_indices(
         raise UndefinedMetricError("tracking index undefined where |reference phasor| = 0, "
                                    f"first at t = {reference.t[ref_mag == 0.0][0]} s")
     dev = np.abs(reconstructed.phasor - reference.phasor)
-    dev /= ref_mag
-    tre_tve = _aggregate(dev, formula) * 100.0
-    np.subtract(reconstructed.frequency, reference.frequency, out=dev)
-    dev *= 1e3
-    tre_fe = _aggregate(dev, formula)
-    np.subtract(reconstructed.rocof, reference.rocof, out=dev)
-    tre_rfe = _aggregate(dev, formula)
+    with np.errstate(over="ignore"):  # a reference near 0 V or a deviation past ~1e154
+        tre_tve = _aggregate(np.divide(dev, ref_mag, out=dev), formula) * 100.0
+        np.subtract(reconstructed.frequency, reference.frequency, out=dev)
+        dev *= 1e3
+        tre_fe = _aggregate(dev, formula)
+        np.subtract(reconstructed.rocof, reference.rocof, out=dev)
+        tre_rfe = _aggregate(dev, formula)
+    if not all(map(math.isfinite, (tre_tve, tre_fe, tre_rfe))):
+        raise UndefinedMetricError(f"TrE overflow: TVE, FE, RFE = {tre_tve}, {tre_fe}, {tre_rfe}")
     return tre_tve, tre_fe, tre_rfe
 
 

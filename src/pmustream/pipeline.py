@@ -39,7 +39,7 @@ AMPLITUDE_QUANTITY = "amplitude_V"
 FREQUENCY_QUANTITY = "frequency_Hz"
 PROFILE_HEADER = ("quantity", "t_s", "value")
 # grid rows per step of the trace writer: its text for one file is about
-# 1 kB per row, and a step's own cost is a few percent of its formatting
+# 160 B per row, and a step's own cost is a few percent of its formatting
 TRACE_CHUNK_ROWS = 256
 
 

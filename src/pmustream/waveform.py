@@ -83,7 +83,7 @@ class PiecewisePoly:
             raise InvalidInputError("need at least one polynomial piece")
         if co.ndim != 2 or co.shape[0] != bp.size - 1:
             raise InvalidInputError("coefficient rows must match interval count")
-        if np.any(bp[1:] <= bp[:-1]):
+        if not np.all(bp[1:] > bp[:-1]):  # a NaN breakpoint fails it too
             raise InvalidInputError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", co)
@@ -135,20 +135,6 @@ class PiecewisePoly:
             const = _horner(out[i], widths[i])
         return PiecewisePoly(self.breakpoints, out)
 
-    def restrict(self, lo: float, hi: float) -> "PiecewisePoly":
-        """Return the same polynomial limited to the sub-domain [lo, hi]."""
-        d_lo, d_hi = self.domain
-        if not d_lo <= lo < hi <= d_hi:  # a NaN bound fails it too
-            raise DomainError("restriction must be a non-empty sub-interval of the domain")
-        if lo == d_lo and hi == d_hi:
-            return self
-        i0 = np.searchsorted(self.breakpoints, lo, side="right") - 1
-        i1 = np.searchsorted(self.breakpoints, hi, side="left") - 1
-        bp = np.concatenate(([lo], self.breakpoints[i0 + 1:i1 + 1], [hi]))
-        co = self.coefficients[i0:i1 + 1].copy()
-        co[0] = _shift_origin(co[0], lo - self.breakpoints[i0])
-        return PiecewisePoly(bp, co)
-
 
 def _horner(coeffs: np.ndarray, x):
     # x is a float or an array; a start from 0.0 would turn a -0.0 lead into +0.0
@@ -156,19 +142,6 @@ def _horner(coeffs: np.ndarray, x):
     for c in coeffs[1:]:
         acc = acc * x + c
     return acc
-
-
-def _shift_origin(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """Re-express a local polynomial around an origin shifted by ``s``."""
-    deg = coeffs.size - 1
-    shifted = np.empty_like(coeffs)
-    work = coeffs
-    fact = 1.0
-    for k in range(deg + 1):
-        shifted[deg - k] = _horner(work, s) / fact
-        work = work[:-1] * np.arange(work.size - 1, 0, -1)  # the next derivative
-        fact *= k + 1
-    return shifted
 
 
 def pchip_fit(anchors: AnchorSeries) -> PiecewisePoly:
@@ -270,13 +243,12 @@ class GroundTruth:
     ) -> "GroundTruth":
         # before any fit: anchor times below 2**51 samples keep fits finite
         (a_lo, a_hi), (f_lo, f_hi) = amplitude_anchors.domain, frequency_anchors.domain
-        lo, hi = max(a_lo, f_lo), min(a_hi, f_hi)
-        if hi <= lo:
-            raise InvalidInputError("amplitude and frequency anchors share no common time "
-                                    f"span: [{lo}, {hi}] s is empty")
         if not all(abs(t * fs) < 2 ** 51 for t in (a_lo, a_hi, f_lo, f_hi)):
             raise InvalidInputError(f"anchor times [{min(a_lo, f_lo)}, {max(a_hi, f_hi)}] s "
                                     f"reach 2**51 samples at fs = {fs} Hz; shift them toward 0")
+        if (a_lo, a_hi) != (f_lo, f_hi):
+            raise InvalidInputError(f"amplitude anchors span [{a_lo}, {a_hi}] s, frequency "
+                                    f"anchors [{f_lo}, {f_hi}] s; they must span the same time")
         if not math.isfinite(phase0):
             raise InvalidInputError(f"phase0 must be finite, got {phase0}")
         # finite anchors can still fit to inf or NaN (anchors 1e-300 s apart
@@ -284,8 +256,7 @@ class GroundTruth:
         # overflow a difference): the check below names the quantity where
         # numpy would warn mid-fit
         with np.errstate(all="ignore"):
-            amp = pchip_fit(amplitude_anchors).restrict(lo, hi)
-            freq = pchip_fit(frequency_anchors).restrict(lo, hi)
+            amp, freq = pchip_fit(amplitude_anchors), pchip_fit(frequency_anchors)
             phase, rocof = integrate_phase(freq, f0, phase0), freq.derivative()
         for quantity, fits in (("amplitude", (amp,)), ("frequency", (freq, phase, rocof))):
             if not all(np.isfinite(fit.coefficients).all() for fit in fits):

@@ -333,6 +333,10 @@ class TestReconstruct:
         for kept in ([0, 1], [1, 2], [0, 1, 2]):
             with pytest.raises(SequencingError):
                 reconstruct(nan_time, kept, [0.05], F0, ts=1e-4)
+        # a NaN ts served every query backwards from the last kept row
+        for ts in (math.nan, math.inf, -math.inf, 0.0, -1e-4):
+            with pytest.raises(InvalidInputError, match="ts must be finite and strictly positive"):
+                serving_rows(series, [0, 1], [0.0, 0.005], ts)
 
     def test_peak_below_eight_grid_arrays(self):
         # the result alone holds four float64 arrays of one value per query

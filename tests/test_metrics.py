@@ -206,6 +206,21 @@ class TestTrackingIndices:
         with pytest.raises(UndefinedMetricError):
             tracking_indices(series, reference_series(gt, series.t))
 
+    @pytest.mark.parametrize("formula", ["rms", "printed"])
+    def test_index_past_float_range_rejected(self, formula):
+        # 1 V off a 1e-310 V reference, and 1e306 Hz off (1e309 mHz), are past
+        # float range; they used to warn and return inf, which TrackingReport
+        # then refused as an input error
+        times = np.arange(0.0, 1.0, 1e-2)
+        tiny = reference_series(steady_gt(amp=1e-310), times)
+        nominal = reference_series(steady_gt(), times)
+        for off, reference in ((TripletSeries(times, tiny.phasor + 1.0, tiny.frequency,
+                                              tiny.rocof), tiny),
+                               (TripletSeries(times, nominal.phasor, nominal.frequency + 1e306,
+                                              nominal.rocof), nominal)):
+            with pytest.raises(UndefinedMetricError, match="TrE overflow"):
+                tracking_indices(off, reference, formula)
+
     def test_grid_mismatch_rejected(self):
         gt = steady_gt()
         times = np.arange(0.0, 1.0, 1e-2)

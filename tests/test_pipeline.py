@@ -6,9 +6,11 @@ import builtins
 import csv
 import gc
 import json
+import math
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -125,6 +127,10 @@ def steady(lo: float, hi: float) -> str:
 
 DISJOINT = ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1,229\n"
             "frequency_Hz,2,50\nfrequency_Hz,3,50\n")
+# overlapping spans: validate used to accept it and run it on [0.5, 3] s only
+OVERLAPPING = ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1,229\n"
+               "amplitude_V,2.5,231\namplitude_V,4,230\n"
+               "frequency_Hz,0.5,50\nfrequency_Hz,1.5,49.5\nfrequency_Hz,3,50\n")
 
 # profiles that validate and run both refuse (exit 2), with the cause in
 # their shared error line; the offset ones all used to pass validate, and run
@@ -132,7 +138,10 @@ DISJOINT = ("quantity,t_s,value\namplitude_V,0,230\namplitude_V,1,229\n"
 # 1.7e9 s) or 3 (1e305 s)
 SAMPLE_INDEX_LIMIT = f"reaches sample {GRID_INDEX_LIMIT}"
 REFUSED = {
-    "disjoint_sections": (DISJOINT, "share no common time span: [2.0, 1.0] s is empty"),
+    "disjoint_sections": (DISJOINT, "amplitude anchors span [0.0, 1.0] s, frequency anchors "
+                                    "[2.0, 3.0] s; they must span the same time"),
+    "overlapping_sections": (OVERLAPPING, "amplitude anchors span [0.0, 4.0] s, frequency "
+                                          "anchors [0.5, 3.0] s; they must span the same time"),
     "span_0.03s": (steady(0.0, 0.03), "profile span [0.0, 0.03] s too short"),
     "at_1e7s": (steady(1e7, 1e7 + 2), SAMPLE_INDEX_LIMIT),
     "at_1e9s": (steady(1e9, 1e9 + 2), SAMPLE_INDEX_LIMIT),
@@ -1115,7 +1124,7 @@ class TestProfileAcceptance:
 
     def test_disjoint_spans_rejected(self, tmp_path):
         amp, freq = parse_profile(write_profile(tmp_path, DISJOINT))  # rows are fine
-        with pytest.raises(InvalidInputError, match="share no common time span"):
+        with pytest.raises(InvalidInputError, match="they must span the same time"):
             GroundTruth.from_anchors(amp, freq)
 
     @pytest.mark.parametrize("name", sorted(REFUSED))
@@ -1168,7 +1177,8 @@ class TestProfileAcceptance:
     def test_validate_accepts_exactly_what_run_accepts(self, tmp_path_factory, offset, shift,
                                                        steps, amplitude, frequency):
         times = [offset + sum(steps[:k]) for k in range(1, len(steps) + 1)]
-        rows = [f"amplitude_V,{t!r},{amplitude!r}" for t in (times[0], times[-1])] + \
+        # both quantities span [times[0] + shift, times[-1] + shift]
+        rows = [f"amplitude_V,{t + shift!r},{amplitude!r}" for t in (times[0], times[-1])] + \
             [f"frequency_Hz,{t + shift!r},{frequency + k * 0.01!r}" for k, t in enumerate(times)]
         path = tmp_path_factory.getbasetemp() / "accept_profile.csv"
         path.write_text("\n".join(["quantity,t_s,value", *rows]) + "\n", encoding="utf-8")
@@ -1313,3 +1323,112 @@ class TestParserFuzz:
             load_config(path)
         except ConfigError:
             pass
+
+
+# ----------------------------------------------------------- run fuzzing
+
+@st.composite
+def _run_profile(draw):
+    """Profile text with 2-6 anchors per quantity over one span of 0.3-1 s,
+    amplitudes of 0-260 V and frequencies of 25-75 Hz; in some draws one
+    quantity's first or last time moves out.  Returns (text, one span)."""
+    lo = draw(st.floats(-5.0, 5.0))
+    hi = lo + draw(st.floats(0.3, 1.0))
+    values = {"amplitude_V": st.floats(0.0, 260.0),
+              "frequency_Hz": st.floats(25.0, 75.0)}
+    times = {}
+    for quantity in values:
+        n = draw(st.integers(2, 6))
+        inner = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                              min_size=n - 2, max_size=n - 2, unique=True))
+        times[quantity] = [lo, *sorted(inner), hi]
+    moved = draw(st.one_of(st.none(), st.tuples(st.sampled_from(sorted(values)),
+                                                st.sampled_from([0, -1]),
+                                                st.floats(1e-6, 0.2))))
+    if moved is not None:
+        quantity, end, step = moved
+        times[quantity][end] += step if end else -step
+    rows = [f"{quantity},{t!r},{draw(value)!r}"
+            for quantity, value in values.items() for t in times[quantity]]
+    return "\n".join(["quantity,t_s,value", *rows]) + "\n", moved is None
+
+
+@st.composite
+def _run_config(draw):
+    """INI text: fs = m * f0 for m in {3, 4, 20, 200}, an rr_in that divides
+    fs into 10-400 reports a second, thresholds and fixed divisors."""
+    f0 = draw(st.sampled_from([50.0, 60.0]))
+    fs = draw(st.sampled_from([3, 4, 20, 200])) * f0
+    r = draw(st.integers(max(1, math.ceil(fs / 400)), max(1, int(fs // 10))))
+    fixed = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    thresholds = (draw(st.floats(1e-6, 0.1)), draw(st.floats(1e-5, 1.0)),
+                  draw(st.floats(1e-3, 10.0)))
+    return "\n".join([
+        "[experiment]", f"f0 = {f0!r}", f"fs = {fs!r}", f"rr_in = {fs / r!r}",
+        f"fixed_baselines = {', '.join(map(str, fixed))}", "[thresholds]",
+        *(f"{name} = {value!r}" for name, value in
+          zip(("delta_tve", "delta_fe", "delta_rfe"), thresholds))]) + "\n"
+
+
+NUMERICAL_FAILURE = re.compile(rf"error: numerical failure: ({'|'.join(ALGORITHMS)})\b")
+
+
+class TestRunFuzz:
+    """Whole profiles through ``cli.main``: every outcome is one of the exit
+    contract's, with no traceback and no warning."""
+
+    @staticmethod
+    def invoke_quietly(*argv: str):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(*argv)
+        assert not caught, [str(w.message) for w in caught]
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exc_info
+        if result.exit_code in (2, 3):
+            assert len(result.output.splitlines()) == 1, result.output
+            assert result.output.startswith("error: "), result.output
+        return result
+
+    @staticmethod
+    def paths(base: Path, profile: str) -> tuple[Path, Path]:
+        path = base / "fuzz_run_profile.csv"
+        path.write_text(profile, encoding="utf-8")
+        out = base / "fuzz_run_out"
+        shutil.rmtree(out, ignore_errors=True)
+        return path, out
+
+    @settings(max_examples=50)
+    @given(drawn=_run_profile())
+    # a reference that falls to 1e-308 V overflowed TrE_TVE with numpy
+    # warnings, and run exited 2 on a profile validate accepted
+    @example(drawn=("quantity,t_s,value\namplitude_V,-0.375,0.0\namplitude_V,0.0,1.0\n"
+                    "amplitude_V,0.34375,0.0\namplitude_V,0.625,2.2250738585072014e-308\n"
+                    "frequency_Hz,-0.375,25.0\nfrequency_Hz,0.625,25.0\n", True))
+    def test_default_geometry(self, tmp_path_factory, drawn):
+        profile, one_span = drawn
+        path, out = self.paths(tmp_path_factory.getbasetemp(), profile)
+        checked = self.invoke_quietly("validate", "--profile", str(path))
+        ran = self.invoke_quietly("run", "--profile", str(path), "--out", str(out),
+                                  "--emit-decisions")
+        assert checked.exit_code in (0, 2) and ran.exit_code in (0, 2, 3), (checked, ran)
+        assert (checked.exit_code == 2) == (ran.exit_code == 2), (checked.output, ran.output)
+        if checked.exit_code == 2:
+            assert checked.output == ran.output
+            assert not out.exists()
+        if not one_span:
+            assert checked.exit_code == 2 and "they must span the same time" in checked.output
+        if ran.exit_code == 3:
+            assert NUMERICAL_FAILURE.match(ran.output), ran.output
+
+    @settings(max_examples=50)
+    @given(drawn=_run_profile(), config=_run_config())
+    def test_configured_geometry(self, tmp_path_factory, drawn, config):
+        path, out = self.paths(tmp_path_factory.getbasetemp(), drawn[0])
+        ini = tmp_path_factory.getbasetemp() / "fuzz_run_config.ini"
+        ini.write_text(config, encoding="utf-8")
+        ran = self.invoke_quietly("run", "--config", str(ini), "--profile", str(path),
+                                  "--out", str(out), "--emit-decisions")
+        assert ran.exit_code in (0, 2, 3), ran.output
+        if ran.exit_code == 3:
+            assert NUMERICAL_FAILURE.match(ran.output), ran.output

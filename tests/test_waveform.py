@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pmustream import waveform
@@ -119,7 +119,7 @@ class TestPchipFit:
             build()
 
 
-# ------------------------------------------- fit and shift, loop-form oracle
+# ------------------------------------------------------ fit, loop-form oracle
 
 def loop_pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """pchip_fit's coefficient table one slope and one interval at a time,
@@ -164,35 +164,10 @@ def loop_pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def loop_shift_origin(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """_shift_origin with a table of derivative factors and a guard for the
-    empty derivative of a constant."""
-    deg = coeffs.size - 1
-    shifted = np.empty_like(coeffs)
-    work = coeffs.copy()
-    powers = np.arange(deg, 0, -1, dtype=float)
-    fact = 1.0
-    for k in range(deg + 1):
-        shifted[deg - k] = waveform._horner(work, s) / fact
-        work = work[:-1] * powers[k:] if work.size > 1 else np.array([])
-        if work.size == 0:
-            work = np.array([0.0])
-        fact *= k + 1
-    return shifted
-
-
 def loop_ground_truth(amplitude: AnchorSeries, frequency: AnchorSeries) -> GroundTruth:
-    """GroundTruth.from_anchors from the loop-form fit and shift, restricting
-    only a fit whose domain is not the common span."""
-    lo = max(amplitude.domain[0], frequency.domain[0])
-    hi = min(amplitude.domain[1], frequency.domain[1])
-    fits = []
-    with mock.patch.object(waveform, "_shift_origin", loop_shift_origin):
-        for anchors in (amplitude, frequency):
-            fit = PiecewisePoly(anchors.times,
-                                loop_pchip_coefficients(anchors.times, anchors.values))
-            fits.append(fit.restrict(lo, hi) if fit.domain != (lo, hi) else fit)
-    amp, freq = fits
+    """GroundTruth.from_anchors from the loop-form fit."""
+    amp, freq = (PiecewisePoly(a.times, loop_pchip_coefficients(a.times, a.values))
+                 for a in (amplitude, frequency))
     return GroundTruth(amp, freq, integrate_phase(freq, 50.0), freq.derivative(), 50.0, 10_000.0)
 
 
@@ -208,6 +183,21 @@ def anchor_arrays(draw, starts=st.floats(-100.0, 100.0), steps=st.floats(1e-3, 1
     return t0 + np.concatenate(([0.0], np.cumsum(widths))), np.array(values)
 
 
+@st.composite
+def one_span_anchors(draw):
+    """Amplitude and frequency anchors over one span: the frequency series
+    starts and ends at the amplitude series' first and last times, with its
+    own interior times and values."""
+    times, values = draw(anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)))
+    lo, hi = times[0], times[-1]
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    inner = np.unique(lo + (hi - lo) * np.array(fractions, dtype=float))
+    f_times = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+    level = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 50.0]), st.floats(-1e3, 1e3))
+    f_values = draw(st.lists(level, min_size=f_times.size, max_size=f_times.size))
+    return (times, values), (f_times, np.array(f_values))
+
+
 # one example each: two anchors; a flat run (d == 0); a local extremum (the
 # secants change sign); a steep step after a shallow one (a^2 + b^2 > 9)
 TWO_POINTS = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -217,8 +207,8 @@ STEEP_STEP = (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.05, 4.0]))
 
 
 class TestFitMatchesLoopOracle:
-    """The array-form fit and origin shift give every coefficient bit for bit
-    as the loop form does."""
+    """The array-form fit gives every coefficient bit for bit as the loop
+    form does."""
 
     @given(points=anchor_arrays())
     @example(points=TWO_POINTS)
@@ -244,28 +234,20 @@ class TestFitMatchesLoopOracle:
             want = loop_pchip_coefficients(x, y)
         assert got.coefficients.tobytes() == want.tobytes()
 
-    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
-           s=st.floats(-10.0, 10.0))
-    @example(coeffs=[3.5], s=0.25)
-    def test_shift_origin_bitwise(self, coeffs, s):
-        co = np.array(coeffs)
-        assert waveform._shift_origin(co, s).tobytes() == loop_shift_origin(co, s).tobytes()
-
-    @given(amplitude=anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),
-           frequency=anchor_arrays(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)))
-    @example(amplitude=(np.array([0.0, 1.0, 2.5, 4.0]), np.array([230.0, 229.0, 231.0, 230.0])),
-             frequency=(np.array([0.5, 1.5, 3.0]), np.array([50.0, 49.5, 50.0])))
+    @given(anchors=one_span_anchors())
     # a secant ratio 0.5 / 5e-324 overflows the limiter to a NaN slope
-    @example(amplitude=(np.array([0.0, 2.0]), np.array([-1.0, -1.0])),
-             frequency=(np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.0, 5e-324])))
-    def test_from_anchors_on_unequal_spans_bitwise(self, amplitude, frequency):
+    @example(anchors=((np.array([1.0, 3.0]), np.array([-1.0, -1.0])),
+                      (np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.0, 5e-324]))))
+    @example(anchors=((np.array([0.0, 1.0]), np.array([-1.0, -1.0])),
+                      (np.array([0.0, 1.14370391e-217, 1.0]), np.array([-1.0, 0.0, -1.0]))))
+    def test_from_anchors_on_one_span_bitwise(self, anchors):
         # from_anchors refuses exactly the anchors whose loop-form tables are
         # not all finite, and matches them bit for bit on the rest
-        amp, freq = AnchorSeries(*amplitude), AnchorSeries(*frequency)
-        lo, hi = max(amp.domain[0], freq.domain[0]), min(amp.domain[1], freq.domain[1])
-        assume(lo < hi and amp.domain != freq.domain)
+        amp, freq = (AnchorSeries(*points) for points in anchors)
         names = ("amplitude", "frequency", "phase", "rocof")
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the oracle's numpy scalars warn where from_anchors' fit runs under
+        # errstate: anchors 1e-217 s apart square to 0 in h * h
+        with np.errstate(all="ignore"):
             want = loop_ground_truth(amp, freq)
         if not all(np.isfinite(getattr(want, name).coefficients).all() for name in names):
             with pytest.raises(InvalidInputError, match="non-finite coefficients"):
@@ -512,12 +494,21 @@ class TestSamplingGrid:
             with pytest.raises(DomainError):
                 synth_three_phase(gt, first / gt.fs, last - first + 1)
 
-    def test_from_anchors_refuses_before_fitting(self):
-        # the far anchor lies outside the common span, yet its 1e200 s
-        # interval would overflow pchip_fit's hi * hi
+    def test_from_anchors_refuses_before_fitting(self, monkeypatch):
+        monkeypatch.setattr(waveform, "pchip_fit", None)  # a fit would raise TypeError
+        # the far anchor's 1e200 s interval would overflow pchip_fit's hi * hi;
+        # the 2**51 check comes first, so unequal spans do not hide it
         far = series((0.0, 230.0), (1e200, 230.0))
         with pytest.raises(InvalidInputError, match=r"\[0.0, 1e\+200\] s reach 2\*\*51 samples"):
             GroundTruth.from_anchors(far, series((0.0, 50.0), (2.0, 50.0)))
+        # overlapping, one shared end, disjoint
+        for amplitude, frequency in (((0.0, 1.0, 2.5, 4.0), (0.5, 1.5, 3.0)),
+                                     ((0.0, 2.0), (0.0, 2.5)), ((0.0, 1.0), (2.0, 3.0))):
+            spans = (f"amplitude anchors span [{amplitude[0]}, {amplitude[-1]}] s, frequency "
+                     f"anchors [{frequency[0]}, {frequency[-1]}] s; they must span the same time")
+            with pytest.raises(InvalidInputError, match=re.escape(spans)):
+                GroundTruth.from_anchors(AnchorSeries(amplitude, np.full(len(amplitude), 230.0)),
+                                         AnchorSeries(frequency, np.full(len(frequency), 50.0)))
         for phase0 in (math.inf, -math.inf, math.nan):
             with pytest.raises(InvalidInputError, match="phase0 must be finite"):
                 steady_gt(phase0=phase0)
@@ -529,6 +520,10 @@ class TestSamplingGrid:
         PiecewisePoly(np.array([-big, 0.0, big]), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError, match="strictly increasing"):
             AnchorSeries(np.array([big, -big]), np.array([1.0, 1.0]))
+        # NaN fails the neighbour comparison too
+        for bp in ([0.0, math.nan, 2.0], [math.nan, 1.0]):
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                PiecewisePoly(np.array(bp), np.ones((len(bp) - 1, 2)))
 
 
 # ------------------------------------------------------- evaluation memory
@@ -634,22 +629,6 @@ class TestWaveformInvariants:
             zero = sum(per_phase) / 3
             assert abs(neg) < 1e-12 * amp
             assert abs(zero) < 1e-12 * amp
-
-    def test_restrict_preserves_values(self):
-        poly = pchip_fit(series((0, 1.0), (1, 3.0), (2, 2.0), (3, 5.0)))
-        sub = poly.restrict(0.4, 2.6)
-        t = np.linspace(0.4, 2.6, 301)
-        np.testing.assert_allclose(sub(t), poly(t), rtol=0, atol=1e-12)
-        with pytest.raises(DomainError):
-            sub(0.3)
-        with pytest.raises(DomainError, match="non-empty sub-interval"):
-            poly.restrict(0.8, 0.2)
-
-    def test_restrict_refuses_nan_bounds(self):
-        poly = pchip_fit(series((0, 1.0), (1, 3.0), (2, 2.0), (3, 5.0)))
-        for lo, hi in ((math.nan, 2.5), (0.5, math.nan), (math.nan, math.nan)):
-            with pytest.raises(DomainError, match="non-empty sub-interval"):
-                poly.restrict(lo, hi)
 
     def test_antiderivative_is_continuous(self):
         poly = pchip_fit(series((0, 1.0), (1, -2.0), (2, 0.5), (3, 1.5)))
